@@ -1,39 +1,19 @@
-(* Heavy-light adaptive maintenance + global UB budget arbitration
-   (DESIGN.md Section 17).
+(* Global UB budget arbitration across templates (DESIGN.md Section 17).
 
-   Experiment 1 — maintenance cost vs update skew. The same seeded
-   stream of Zipf-skewed lineitem deletes (alpha = 1.2 on suppkey, the
-   paper's skew regime) runs against three identically warmed views:
-   eager delta-join (the paper's base maintenance algorithm), eager
-   aux-index (the full version's optimisation), and adaptive — a
-   count-min classifier keeps hot update keys eager through the aux
-   index while deltas touching only light keys lapse their entries
-   (recomputed on next probe) instead of walking victims. The base
-   delete scan dominates Txn.run wall time, so each mode registers a
-   timing hook in place of Maintain.attach and clocks only the
-   maintenance call itself; maintenance throughput is changes per
-   second of that hook time alone. Under skew most distinct keys are
-   light, so adaptive must clear 1.5x the eager delta-join line — the
-   check.sh gate — and the answers afterwards must still be
-   oracle-exact (the lapse purge at reference time is the correctness
-   hinge).
-
-   Experiment 2 — budget arbitration across templates. Two templates
-   (T1 hot, T2 cold) share one fixed UB byte pool. The static split
-   halves it forever; the arbitrated run arms Manager.set_global_budget
-   and lets the EMA hit-value-per-byte arbiter re-split L across the
-   entry stores as the popularity skew reveals itself. Aggregate hit
-   ratio at the same total budget must not fall below the static split.
+   Two templates (T1 hot, T2 cold) share one fixed UB byte pool. The
+   static split halves it forever; the arbitrated run arms
+   Manager.set_global_budget and lets the EMA hit-value-per-byte
+   arbiter re-split L across the entry stores as the popularity skew
+   reveals itself. Aggregate hit ratio at the same total budget must
+   not fall below the static split, and answers through the resized
+   views must stay oracle-exact.
 
    Results go to BENCH_adaptive.json. *)
 
 open Minirel_storage
 module Catalog = Minirel_index.Catalog
 module Template = Minirel_query.Template
-module Predicate = Minirel_query.Predicate
-module Txn = Minirel_txn.Txn
 module View = Pmv.View
-module Maintain = Pmv.Maintain
 module Manager = Pmv.Manager
 module Check = Minirel_check.Check
 module Tpcr = Minirel_workload.Tpcr
@@ -43,126 +23,11 @@ module SM = Minirel_prng.Split_mix
 
 type cfg = { full : bool; seed : int; scale : float option }
 
-(* --- Experiment 1: eager vs adaptive maintenance under skew --- *)
-
-type mode = { m_label : string; m_strategy : Maintain.strategy; m_adaptive : bool }
-
-let modes =
-  [
-    { m_label = "eager-dj"; m_strategy = Maintain.Delta_join; m_adaptive = false };
-    { m_label = "eager-aux"; m_strategy = Maintain.Aux_index; m_adaptive = false };
-    { m_label = "adaptive"; m_strategy = Maintain.Aux_index; m_adaptive = true };
-  ]
-
-type mlive = {
-  ml_mode : mode;
-  ml_catalog : Catalog.t;
-  ml_mgr : Txn.t;
-  ml_view : View.t;
-  ml_t1 : Template.compiled;
-  ml_maint_ns : int64 ref;  (* hook time accumulated this segment *)
-  mutable ml_next : int;
-  mutable ml_seg_walls : int64 list;  (* whole-Txn.run wall per segment *)
-  mutable ml_maint_walls : int64 list;  (* maintenance-only wall per segment *)
-}
-
-(* Zipf-skewed deletes over lineitem's suppkey/quantity — both in the
-   view's Ls', so every delete is maintenance-relevant and its victims'
-   update keys follow the suppkey skew. All modes replay the identical
-   pre-generated list against identically generated data. *)
-let gen_deletes ~seed ~n_suppliers ~alpha ~count =
-  let rng = SM.create ~seed:(seed + 13) in
-  let zipf = Zipf.create ~n:n_suppliers ~alpha in
-  Array.init count (fun _ ->
-      Txn.Delete
-        {
-          rel = "lineitem";
-          pred =
-            Predicate.And
-              [
-                Predicate.Cmp (Predicate.Eq, 1, Value.Int (1 + Zipf.sample zipf rng));
-                Predicate.Cmp (Predicate.Eq, 3, Value.Int (1 + SM.int rng ~bound:50));
-              ];
-        })
-
-let setup_mode cfg ~scale mode =
-  let pool = Buffer_pool.create ~capacity:8_000 () in
-  let catalog = Catalog.create pool in
-  let params = Tpcr.params_for_scale ~seed:cfg.seed scale in
-  ignore (Tpcr.generate catalog params);
-  let t1 = Template.compile catalog Querygen.t1_spec in
-  let mgr = Txn.create catalog in
-  let view = View.create ~capacity:2_000 ~f_max:3 ~name:"t1" t1 in
-  if mode.m_adaptive then View.set_adaptive view (Some (Pmv.Adaptive.create ()));
-  (* hand-rolled Maintain.attach (lock-free variant) with a stopwatch
-     around the maintenance call: the hook does what attach's hook does
-     — probe invalidation, then on_delta — but bills the time to
-     [ml_maint_ns] so maintenance throughput can be read on its own,
-     free of the base delete scan that dominates Txn.run *)
-  let maint_ns = ref 0L in
-  Minirel_txn.Txn.register_hook mgr ~name:"pmv:t1" (fun delta ->
-      let t0 = Monotonic_clock.now () in
-      View.invalidate_probe view;
-      Maintain.on_delta ~strategy:mode.m_strategy view catalog delta;
-      maint_ns := Int64.add !maint_ns (Int64.sub (Monotonic_clock.now ()) t0));
-  (* warm the view so maintenance has cached tuples to defend *)
-  let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
-  let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
-  let rng = SM.create ~seed:(cfg.seed + 7) in
-  for _ = 1 to 200 do
-    let inst = Querygen.gen_t1 t1 ~dates_zipf:dz ~supp_zipf:sz ~e:2 ~f:2 rng in
-    ignore (Pmv.Answer.answer ~view catalog inst ~on_tuple:(fun _ _ -> ()))
-  done;
-  {
-    ml_mode = mode;
-    ml_catalog = catalog;
-    ml_mgr = mgr;
-    ml_view = view;
-    ml_t1 = t1;
-    ml_maint_ns = maint_ns;
-    ml_next = 0;
-    ml_seg_walls = [];
-    ml_maint_walls = [];
-  }
-
-let run_maint_segment l ~changes ~seg_changes =
-  l.ml_maint_ns := 0L;
-  let t0 = Monotonic_clock.now () in
-  for _ = 1 to seg_changes do
-    ignore (Txn.run l.ml_mgr [ changes.(l.ml_next) ]);
-    l.ml_next <- l.ml_next + 1
-  done;
-  l.ml_seg_walls <- Int64.sub (Monotonic_clock.now ()) t0 :: l.ml_seg_walls;
-  l.ml_maint_walls <- !(l.ml_maint_ns) :: l.ml_maint_walls
-
-let median_wall_s walls =
-  let sorted = List.sort Int64.compare walls in
-  Int64.to_float (List.nth sorted (List.length sorted / 2)) /. 1e9
-
-let median_qps walls ~per_seg = float_of_int per_seg /. median_wall_s walls
-
-(* Strict oracle after the churn: answers through the view (lapsed
-   entries and all) must equal brute force exactly, and the view
-   invariants must hold. *)
-let oracle_mode cfg ~scale l =
-  let params = Tpcr.params_for_scale ~seed:cfg.seed scale in
-  let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
-  let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
-  let rng = SM.create ~seed:(cfg.seed + 19) in
-  List.for_all
-    (fun _ ->
-      let inst =
-        Querygen.gen_t1 l.ml_t1 ~dates_zipf:dz ~supp_zipf:sz ~e:2 ~f:2 rng
-      in
-      Check.report_ok (Check.check_answer ~view:l.ml_view l.ml_catalog inst))
-    (List.init 10 Fun.id)
-  && Check.check_view l.ml_view l.ml_catalog = []
-
-(* --- Experiment 2: global UB budget arbitration --- *)
-
-(* One run at a fixed total UB: T1 takes [t1_share] of the query
-   stream, T2 the rest. [arbitrated] arms the global budget with
-   auto-rebalance; otherwise both templates keep the static half. *)
+(* One run at a fixed total UB: T1 takes 85% of the query stream, T2
+   the rest. [arbitrated] arms the global budget with auto-rebalance;
+   otherwise both templates keep the static half. After the stream,
+   sampled answers through both views are checked against brute force
+   and both views' invariants must hold. *)
 let budget_run cfg ~scale ~total_ub ~n_queries ~arbitrated =
   let pool = Buffer_pool.create ~capacity:8_000 () in
   let catalog = Catalog.create pool in
@@ -178,17 +43,18 @@ let budget_run cfg ~scale ~total_ub ~n_queries ~arbitrated =
   let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
   let nz = Zipf.create ~n:params.Tpcr.n_nations ~alpha:1.07 in
   let rng = SM.create ~seed:(cfg.seed + 23) in
+  let gen () =
+    (* T1 hot (single-bcp queries keep the hit ratio a pure residency
+       signal), T2 cold: the skew the arbiter should discover *)
+    if SM.int rng ~bound:100 < 85 then
+      (v1, Querygen.gen_t1 t1 ~dates_zipf:dz ~supp_zipf:sz ~e:1 ~f:1 rng)
+    else
+      ( v2,
+        Querygen.gen_t2 t2 ~dates_zipf:dz ~supp_zipf:sz ~nation_zipf:nz ~e:1 ~f:1 ~g:1
+          rng )
+  in
   for _ = 1 to n_queries do
-    let inst =
-      (* T1 hot (single-bcp queries keep the hit ratio a pure residency
-         signal), T2 cold: the skew the arbiter should discover *)
-      if SM.int rng ~bound:100 < 85 then
-        Querygen.gen_t1 t1 ~dates_zipf:dz ~supp_zipf:sz ~e:1 ~f:1 rng
-      else
-        Querygen.gen_t2 t2 ~dates_zipf:dz ~supp_zipf:sz ~nation_zipf:nz ~e:1 ~f:1
-          ~g:1 rng
-    in
-    ignore (Manager.answer mgr inst ~on_tuple:(fun _ _ -> ()))
+    ignore (Manager.answer mgr (snd (gen ())) ~on_tuple:(fun _ _ -> ()))
   done;
   let hits, queries =
     List.fold_left
@@ -198,78 +64,42 @@ let budget_run cfg ~scale ~total_ub ~n_queries ~arbitrated =
       (0, 0) [ v1; v2 ]
   in
   let hit_ratio = if queries = 0 then 0.0 else float_of_int hits /. float_of_int queries in
-  (hit_ratio, Manager.rebalances mgr, Pmv.Entry_store.capacity (View.store v1),
-   Pmv.Entry_store.capacity (View.store v2))
-
-(* --- harness ----------------------------------------------------------- *)
+  let oracle_clean =
+    List.for_all
+      (fun _ ->
+        let view, inst = gen () in
+        Check.report_ok (Check.check_answer ~view catalog inst))
+      (List.init 20 Fun.id)
+    && Check.check_view v1 catalog = []
+    && Check.check_view v2 catalog = []
+  in
+  ( hit_ratio,
+    Manager.rebalances mgr,
+    Pmv.Entry_store.capacity (View.store v1),
+    Pmv.Entry_store.capacity (View.store v2),
+    oracle_clean )
 
 let run cfg =
-  Output.header ~id:"Adaptive"
-    ~title:"heavy-light adaptive maintenance and global UB budget arbitration"
+  Output.header ~id:"Adaptive" ~title:"global UB budget arbitration"
     ~paper:
-      "(extension) skewed update streams leave most distinct update keys light: \
-       lapsing their entries beats eager victim maintenance by >= 1.5x over the \
-       delta-join baseline while answers stay oracle-exact; one arbitrated UB pool \
-       must serve a skewed template mix at least as well as a frozen 50/50 split";
+      "(extension) one arbitrated UB pool must serve a skewed template mix at least \
+       as well as a frozen 50/50 split, with answers oracle-exact";
   let scale = Option.value cfg.scale ~default:(if cfg.full then 0.02 else 0.008) in
-  let seg_changes = if cfg.full then 300 else 150 in
-  let n_segments = 3 in
-  let n_changes = n_segments * seg_changes in
-  let params = Tpcr.params_for_scale ~seed:cfg.seed scale in
-  let changes =
-    gen_deletes ~seed:cfg.seed ~n_suppliers:params.Tpcr.n_suppliers ~alpha:1.2
-      ~count:n_changes
-  in
-  let lives = List.map (setup_mode cfg ~scale) modes in
-  (* paired interleaved segments: machine drift lands on every mode *)
-  for _ = 1 to n_segments do
-    List.iter (fun l -> run_maint_segment l ~changes ~seg_changes) lives
-  done;
-  let qps_of l = median_qps l.ml_seg_walls ~per_seg:seg_changes in
-  let find label = List.find (fun l -> l.ml_mode.m_label = label) lives in
-  let dj = find "eager-dj" and aux = find "eager-aux" and ad = find "adaptive" in
-  let dj_qps = qps_of dj and aux_qps = qps_of aux and ad_qps = qps_of ad in
-  (* maintenance-only cost: median per-segment hook time *)
-  let maint_cost l = median_wall_s l.ml_maint_walls in
-  let maint_qps l = float_of_int seg_changes /. maint_cost l in
-  let dj_cost = maint_cost dj and aux_cost = maint_cost aux and ad_cost = maint_cost ad in
-  let speedup = dj_cost /. ad_cost in
-  let light_share =
-    match View.adaptive ad.ml_view with
-    | Some a ->
-        let h = Pmv.Adaptive.n_heavy a and li = Pmv.Adaptive.n_light a in
-        if h + li = 0 then 0.0 else float_of_int li /. float_of_int (h + li)
-    | None -> 0.0
-  in
-  let store = View.store ad.ml_view in
-  let lapsed = Pmv.Entry_store.n_lapse_marked store in
-  let recomputed = Pmv.Entry_store.n_lapse_recomputed store in
-  let oracle_clean = List.for_all (oracle_mode cfg ~scale) lives in
-  Output.row "%-10s %-12s %-16s %-16s %-10s@." "mode" "txn/s" "maint ms/seg" "maint changes/s"
-    "vs dj";
-  List.iter
-    (fun l ->
-      Output.row "%-10s %-12.1f %-16.3f %-16.1f %-10.2f@." l.ml_mode.m_label (qps_of l)
-        (1e3 *. maint_cost l) (maint_qps l)
-        (dj_cost /. maint_cost l))
-    lives;
-  Output.row "light share %.2f, %d lapsed, %d recomputed, oracle %s@." light_share
-    lapsed recomputed
-    (if oracle_clean then "clean" else "VIOLATED");
-  (* budget arbitration at one fixed pool *)
   let total_ub = if cfg.full then 120_000 else 60_000 in
   let n_queries = if cfg.full then 6_000 else 3_000 in
-  let hit_static, _, sl1, sl2 =
+  let hit_static, _, sl1, sl2, static_clean =
     budget_run cfg ~scale ~total_ub ~n_queries ~arbitrated:false
   in
-  let hit_arb, rebalances, al1, al2 =
+  let hit_arb, rebalances, al1, al2, arb_clean =
     budget_run cfg ~scale ~total_ub ~n_queries ~arbitrated:true
   in
   let gain = hit_arb -. hit_static in
+  let oracle_clean = static_clean && arb_clean in
   Output.row
     "budget %d bytes: static hit %.3f (L %d/%d), arbitrated hit %.3f (L %d/%d, %d \
-     rebalances)@."
-    total_ub hit_static sl1 sl2 hit_arb al1 al2 rebalances;
+     rebalances), oracle %s@."
+    total_ub hit_static sl1 sl2 hit_arb al1 al2 rebalances
+    (if oracle_clean then "clean" else "VIOLATED");
   let json =
     Fmt.str
       {|{
@@ -277,21 +107,6 @@ let run cfg =
   "scale": %g,
   "seed": %d,
   "host_cores": %d,
-  "maint_workload": "lineitem deletes, zipf alpha=1.2 on suppkey, %d changes",
-  "txn_qps_dj": %.3f,
-  "txn_qps_aux": %.3f,
-  "txn_qps_adaptive": %.3f,
-  "maint_cost_dj_ms": %.3f,
-  "maint_cost_aux_ms": %.3f,
-  "maint_cost_adaptive_ms": %.3f,
-  "maint_qps_dj": %.3f,
-  "maint_qps_aux": %.3f,
-  "maint_qps_adaptive": %.3f,
-  "speedup_adaptive_vs_dj": %.3f,
-  "speedup_adaptive_vs_aux": %.3f,
-  "light_share": %.4f,
-  "lapsed": %d,
-  "recomputed": %d,
   "oracle_clean": %b,
   "budget_total_ub": %d,
   "budget_queries": %d,
@@ -303,10 +118,7 @@ let run cfg =
 |}
       scale cfg.seed
       (Domain.recommended_domain_count ())
-      n_changes dj_qps aux_qps ad_qps (1e3 *. dj_cost) (1e3 *. aux_cost)
-      (1e3 *. ad_cost) (maint_qps dj) (maint_qps aux) (maint_qps ad) speedup
-      (aux_cost /. ad_cost) light_share lapsed
-      recomputed oracle_clean total_ub n_queries hit_static hit_arb gain rebalances
+      oracle_clean total_ub n_queries hit_static hit_arb gain rebalances
   in
   let oc = open_out "BENCH_adaptive.json" in
   output_string oc json;

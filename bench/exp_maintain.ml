@@ -68,10 +68,9 @@ let run_workload ~mode ~seed ~delta_size ~p scale =
       let view = View.create ~capacity:2_000 ~f_max:3 ~name:"t1" t1 in
       Maintain.attach ~strategy ~use_locks:false view mgr;
       (* warm the PMV so maintenance has something to do — through the
-         Section 3.6 shape mix, not just plain probes: grouped and
-         ordered traffic leaves aggregate memos and popularity state on
-         the entries, so the delta stream is maintained against the
-         same store a shaped workload would leave behind *)
+         Section 3.6 shape mix, not just plain probes, so the delta
+         stream is maintained against the same store a shaped workload
+         would leave behind *)
       let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
       let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
       let rng = SM.create ~seed:(seed + 7) in
@@ -84,11 +83,12 @@ let run_workload ~mode ~seed ~delta_size ~p scale =
                  ~on_tuple:(fun _ _ -> ()))
         | 2 ->
             ignore
-              (Pmv.Extensions.answer_grouped ~view catalog inst ~group_by:[| 0 |]
-                 ~agg:Pmv.Extensions.Count)
+              (Pmv.Extensions.answer_groups ~view catalog inst ~key:[| 0 |]
+                 ~aggs:[| Minirel_query.Aggregate.Count |])
         | 3 ->
             ignore
-              (Pmv.Extensions.answer_ordered ~view catalog inst ~order_by:[| 0 |] ())
+              (Pmv.Extensions.answer_ordered_k ~view catalog inst ~order:[| (0, false) |]
+                 ~k:10)
         | _ -> ignore (Pmv.Answer.answer ~view catalog inst ~on_tuple:(fun _ _ -> ()))
       done);
   let n_orders = (Tpcr.counts_of_scale scale).Tpcr.orders in

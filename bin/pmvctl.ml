@@ -73,11 +73,6 @@ let shard_tpcr ~shards catalog =
 
 let demo scale seed queries policy f_max capacity =
   let catalog, params, t1 = build ~scale ~seed in
-  let policy =
-    match Minirel_cache.Policies.of_string policy with
-    | Some p -> p
-    | None -> Minirel_cache.Policies.Clock
-  in
   let engine = Engine.create ~catalog () in
   let view = Pmv.Manager.create_view ~policy ~capacity ~f_max (Engine.manager engine) t1 in
   let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
@@ -129,11 +124,6 @@ let query scale seed dates suppliers =
   show "second run (hot results come back instantly)"
 
 let simulate alpha h n policy =
-  let policy =
-    match Minirel_cache.Policies.of_string policy with
-    | Some p -> p
-    | None -> Minirel_cache.Policies.Clock
-  in
   let cfg = { Pmv_sim.Hitprob.scaled_default with alpha; h; n; policy } in
   let r = Pmv_sim.Hitprob.run cfg in
   Fmt.pr "universe=%d N=%d alpha=%.2f h=%d policy=%s -> hit probability %.4f@."
@@ -442,7 +432,7 @@ let repl scale seed fresh persist shards domains probe_path =
 
 (* Replay one deterministic torture campaign (fault injection + oracle
    checking); the same seed always reproduces the same event digest. *)
-let torture scale seed events check_every shards domains probe_path adaptive verbose =
+let torture scale seed events check_every shards domains probe_path verbose =
   let module Torture = Minirel_check.Torture in
   let cfg =
     {
@@ -453,24 +443,21 @@ let torture scale seed events check_every shards domains probe_path adaptive ver
       shards;
       domains;
       probe_path;
-      adaptive;
       log = (if verbose then Some (Fmt.pr "  %s@.") else None);
     }
   in
-  Fmt.pr "torture: seed %d, %d events, scale %g%s%s%s%s%s@." seed events scale
+  Fmt.pr "torture: seed %d, %d events, scale %g%s%s%s%s@." seed events scale
     (if shards > 1 then Fmt.str ", %d shards" shards else "")
     (if shards > 1 && domains > 1 then Fmt.str ", %d domains" domains else "")
     (if probe_path = Pmv.Answer.Epoch then ", epoch probes" else "")
-    (if adaptive then ", adaptive maintenance" else "")
     (if verbose then "" else " (use --verbose for the event trace)");
   let o = if shards > 1 then Torture.run_sharded cfg else Torture.run cfg in
   Fmt.pr "%a@." Torture.pp_outcome o;
   if not (Torture.ok o) then begin
     Fmt.epr
       "reproduce with: pmvctl torture --seed %d --events %d --scale %g --shards %d \
-       --domains %d%s --verbose@."
-      seed events scale shards domains
-      (if adaptive then " --adaptive" else "");
+       --domains %d --verbose@."
+      seed events scale shards domains;
     exit 1
   end
 
@@ -508,14 +495,20 @@ let probe_path_arg =
            $(b,epoch) takes no lock and serves complete cached answers through the \
            epoch-versioned probe fast path.")
 
+(* --policy accepts exactly the names of Policies.all; anything else is a
+   usage error listing the valid names. *)
+let policy_arg =
+  let module P = Minirel_cache.Policies in
+  let policy = Arg.enum (List.map (fun p -> (P.to_string p, p)) P.all) in
+  Arg.(value & opt policy P.Clock & info [ "policy" ] ~docv:"P" ~doc:"Replacement policy.")
+
 let demo_cmd =
   let queries = Arg.(value & opt int 500 & info [ "queries" ] ~docv:"N") in
-  let policy = Arg.(value & opt string "clock" & info [ "policy" ] ~docv:"P") in
   let f_max = Arg.(value & opt int 3 & info [ "f" ] ~docv:"F") in
   let capacity = Arg.(value & opt int 2_000 & info [ "capacity" ] ~docv:"L") in
   Cmd.v
     (Cmd.info "demo" ~doc:"Stream a Zipfian T1 workload through a PMV")
-    Term.(const demo $ scale_arg $ seed_arg $ queries $ policy $ f_max $ capacity)
+    Term.(const demo $ scale_arg $ seed_arg $ queries $ policy_arg $ f_max $ capacity)
 
 let query_cmd =
   let dates = Arg.(value & opt string "1,2" & info [ "dates" ] ~docv:"D1,D2,...") in
@@ -528,10 +521,9 @@ let simulate_cmd =
   let alpha = Arg.(value & opt float 1.07 & info [ "alpha" ] ~docv:"A") in
   let h = Arg.(value & opt int 2 & info [ "h" ] ~docv:"H") in
   let n = Arg.(value & opt int 2_000 & info [ "n" ] ~docv:"N") in
-  let policy = Arg.(value & opt string "clock" & info [ "policy" ] ~docv:"P") in
   Cmd.v
     (Cmd.info "simulate" ~doc:"One hit-probability simulation cell (Section 4.1)")
-    Term.(const simulate $ alpha $ h $ n $ policy)
+    Term.(const simulate $ alpha $ h $ n $ policy_arg)
 
 let sql_cmd =
   let statements =
@@ -637,16 +629,6 @@ let torture_cmd =
     Arg.(value & opt int 40 & info [ "check-every" ] ~docv:"K" ~doc:"Deep-check cadence.")
   in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the event trace.") in
-  let adaptive =
-    Arg.(
-      value
-      & flag
-      & info [ "adaptive" ]
-          ~doc:
-            "Enable heavy-light adaptive maintenance on every view: deltas touching \
-             only light update keys lapse entries (recomputed on next probe) instead \
-             of eager victim removal; the oracle checks stay exact either way.")
-  in
   let scale =
     Arg.(value & opt float 0.002 & info [ "scale" ] ~docv:"S" ~doc:"TPC-R scale.")
   in
@@ -658,7 +640,7 @@ let torture_cmd =
           oracle-checked; exits non-zero on any consistency violation")
     Term.(
       const torture $ scale $ seed_arg $ events $ check_every $ shards_arg $ domains_arg
-      $ probe_path_arg $ adaptive $ verbose)
+      $ probe_path_arg $ verbose)
 
 let () =
   let doc = "partial materialized views demonstration tool" in

@@ -1,28 +1,18 @@
 (* Constructor dispatch over the available replacement policies. *)
 
-type kind = Clock | Two_q | Two_q_full | Lru | Fifo
+type kind = Clock | Two_q | Lru | Fifo
 
-let all = [ Clock; Two_q; Two_q_full; Lru; Fifo ]
+let all = [ Clock; Two_q; Lru; Fifo ]
 
 let to_string = function
   | Clock -> "clock"
   | Two_q -> "2q"
-  | Two_q_full -> "2q-full"
   | Lru -> "lru"
   | Fifo -> "fifo"
-
-let of_string = function
-  | "clock" -> Some Clock
-  | "2q" | "two_q" | "twoq" -> Some Two_q
-  | "2q-full" | "two_q_full" -> Some Two_q_full
-  | "lru" -> Some Lru
-  | "fifo" -> Some Fifo
-  | _ -> None
 
 let make kind ~capacity =
   match kind with
   | Clock -> Clock.create ~capacity
   | Two_q -> Two_q.create ~capacity
-  | Two_q_full -> Two_q_full.create ~capacity
   | Lru -> Lru.create ~capacity
   | Fifo -> Fifo.create ~capacity

@@ -1,8 +1,7 @@
 (** Constructor dispatch over the available replacement policies. *)
 
-type kind = Clock | Two_q | Two_q_full | Lru | Fifo
+type kind = Clock | Two_q | Lru | Fifo
 
 val all : kind list
 val to_string : kind -> string
-val of_string : string -> kind option
 val make : kind -> capacity:int -> 'k Policy.t

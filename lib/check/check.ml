@@ -246,10 +246,6 @@ let check_view ?ub_bytes view catalog =
       if entry.Pmv.Entry_store.n <> List.length entry.Pmv.Entry_store.tuples then
         bad "entry %a: n=%d but %d tuples" Bcp.pp bcp entry.Pmv.Entry_store.n
           (List.length entry.Pmv.Entry_store.tuples);
-      (* a lapsed entry legitimately holds stale tuples: a light-key
-         delta skipped its maintenance and the store purges it before
-         the next serve, so its cache is semantically empty here *)
-      if not entry.Pmv.Entry_store.e_lapsed then begin
       let cached = counts_of entry.Pmv.Entry_store.tuples in
       Tuple.Table.iter
         (fun t k ->
@@ -262,6 +258,5 @@ let check_view ?ub_bytes view catalog =
           if not (Bcp.equal home bcp) then
             bad "tuple %a filed under bcp %a, belongs to %a" Tuple.pp t Bcp.pp bcp Bcp.pp
               home)
-        cached
-      end);
+        cached);
   List.rev !violations

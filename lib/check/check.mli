@@ -108,8 +108,6 @@ val check_answer :
     optionally the storage budget [ub_bytes], and containment — every
     cached tuple must appear in {!full_mv} at least as often as it is
     cached, filed under the bcp {!Condition_part.bcp_of_result}
-    assigns it. Entries marked lapsed by the adaptive-maintenance
-    light-key path are exempt from containment: their cache is
-    semantically empty and is purged before the next serve. *)
+    assigns it. *)
 val check_view :
   ?ub_bytes:int -> Pmv.View.t -> Minirel_index.Catalog.t -> string list

@@ -43,10 +43,6 @@ type cfg = {
   domains : int;  (* pool workers for {!run_sharded}'s fan-out; 1 = sequential *)
   probe_path : Pmv.Answer.probe_path;
       (* read path queries take; Locked keeps the lockmgr fault sites hot *)
-  adaptive : bool;
-      (* heavy-light adaptive maintenance on every view: light-key
-         deltas lapse entries instead of eager victim removal, and the
-         oracle checks must stay exact either way *)
   dir : string option;
   log : (string -> unit) option;
 }
@@ -60,7 +56,6 @@ let default_cfg ~seed =
     shards = 1;
     domains = 1;
     probe_path = Pmv.Answer.Locked;
-    adaptive = false;
     dir = None;
     log = None;
   }
@@ -331,10 +326,7 @@ let describe_inst inst =
 
 (* --- view / hook lifecycle --------------------------------------------- *)
 
-let make_view st =
-  let v = Pmv.View.create ~capacity:96 ~name:"torture" st.t1 in
-  if st.cfg.adaptive then Pmv.View.set_adaptive v (Some (Pmv.Adaptive.create ()));
-  v
+let make_view st = Pmv.View.create ~capacity:96 ~name:"torture" st.t1
 
 (* Maintenance first, WAL second: {!Txn.register_hook} prepends, so the
    WAL hook runs before maintenance and an injected maintenance fault
@@ -764,10 +756,7 @@ let run cfg =
       t1;
       mgr;
       wal;
-      view =
-        (let v = Pmv.View.create ~capacity:96 ~name:"torture" t1 in
-         if cfg.adaptive then Pmv.View.set_adaptive v (Some (Pmv.Adaptive.create ()));
-         v);
+      view = Pmv.View.create ~capacity:96 ~name:"torture" t1;
       shadow = snapshot_shadow catalog;
       digest = 0xcbf29ce484222325L;
       qid = 0;
@@ -886,8 +875,7 @@ let srebuild st i =
   let e = Router.shard st.router i in
   let template = st.t1.Template.spec.Template.name in
   Pmv.Manager.drop_view (Engine.manager e) ~template;
-  let v = Engine.ensure_view ~capacity:96 e st.t1 in
-  if st.cfg.adaptive then Pmv.View.set_adaptive v (Some (Pmv.Adaptive.create ()));
+  ignore (Engine.ensure_view ~capacity:96 e st.t1);
   st.rebuilds <- st.rebuilds + 1;
   snote st (Fmt.str "shard%d view rebuilt after lost maintenance" i)
 
@@ -1185,7 +1173,7 @@ let run_sharded cfg =
     [ "orders"; "lineitem" ];
   Router.declare router (Catalog.schema ref_catalog "customer") ~part:`Replicated;
   Router.load_from router ref_catalog;
-  ignore (Router.create_view ~capacity:96 ~adaptive:cfg.adaptive router t1);
+  ignore (Router.create_view ~capacity:96 router t1);
   Router.set_probe_path router cfg.probe_path;
   let st =
     {

@@ -26,12 +26,6 @@ type cfg = {
           lock-manager fault sites on the query path hot; [Epoch]
           exercises the lock-free probe fast path instead). Each path
           has its own reproducible digest for a fixed seed. *)
-  adaptive : bool;
-      (** heavy-light adaptive maintenance (DESIGN.md Section 17) on
-          every view, default false: deltas touching only light update
-          keys lapse their entries instead of eager victim removal.
-          Every oracle check must stay exact either way — this is the
-          lapse protocol's correctness gate. *)
   dir : string option;  (** snapshot/WAL directory; default a temp dir *)
   log : (string -> unit) option;  (** per-event trace sink *)
 }

@@ -406,12 +406,12 @@ let run t changes =
 (* Create the template's PMV on every shard. [capacity]/[ub_bytes] are
    per shard: the aggregate cache budget scales with the shard count,
    which is precisely the scale-out lever. *)
-let create_view ?policy ?f_max ?capacity ?ub_bytes ?adaptive t compiled =
+let create_view ?policy ?f_max ?capacity ?ub_bytes t compiled =
   let views =
     Array.map
       (fun e ->
-        Pmv.Manager.create_view ?policy ?f_max ?capacity ?ub_bytes ?adaptive
-          (Engine.manager e) compiled)
+        Pmv.Manager.create_view ?policy ?f_max ?capacity ?ub_bytes (Engine.manager e)
+          compiled)
       t.shards
   in
   (* Router-level probe cache: one segment per shard, each sized like a
@@ -1115,15 +1115,20 @@ let answer_ordered_k ?probe_path t instance ~order ~k =
 
 (* Sharded EXISTS: probe every target shard's view for a cached witness
    first — any one cached satisfying tuple settles the question with no
-   engine work anywhere. Only when no shard holds a witness does the
-   router execute, shard by shard, stopping at the first tuple. *)
+   engine work anywhere. On the epoch path the paper stores are probed
+   too, under the engine's locked-path rule ({!Pmv.Extensions.exists_}):
+   a cached tuple is a witness only while its view has no delta pending.
+   Only when no shard holds a witness does the router execute, shard by
+   shard, stopping at the first tuple. Execution never serves cached
+   tuples: stopping after a served O2 tuple would skip the stale purge
+   that proves it still exists. *)
 let exists_ ?probe_path t instance =
   Pmv.Extensions.note_shape `Exists;
   let compiled = Minirel_query.Instance.compiled instance in
   let path = match probe_path with Some p -> p | None -> t.probe_path in
   let template = compiled.Template.spec.Template.name in
   let targets = template_shards t compiled in
-  let witness =
+  let witness path =
     List.exists
       (fun i ->
         match Engine.find_view t.shards.(i) ~template with
@@ -1131,8 +1136,16 @@ let exists_ ?probe_path t instance =
         | None -> false)
       targets
   in
-  if witness then (true, `From_pmv)
-  else (answer_first_k t instance ~k:1 <> [], `Executed)
+  if witness path || (path = Pmv.Answer.Epoch && witness Pmv.Answer.Locked) then
+    (true, `From_pmv)
+  else
+    ( List.exists
+        (fun i ->
+          let catalog = Engine.catalog t.shards.(i) in
+          let plan = Minirel_exec.Planner.plan_query catalog instance in
+          Option.is_some (Minirel_exec.Executor.cursor catalog plan ()))
+        targets,
+      `Executed )
 
 (* --- maintenance ------------------------------------------------------- *)
 

@@ -139,7 +139,6 @@ val create_view :
   ?f_max:int ->
   ?capacity:int ->
   ?ub_bytes:int ->
-  ?adaptive:bool ->
   t ->
   Minirel_query.Template.compiled ->
   Pmv.View.t array
@@ -248,7 +247,9 @@ val answer_ordered_k :
 
 (** Sharded EXISTS: any target shard's cached witness settles the
     question as [`From_pmv] with no engine work; otherwise executes
-    shard by shard, stopping at the first tuple. *)
+    shard by shard, stopping at the first tuple. On the epoch path the
+    paper stores also serve witnesses, but only while their view has no
+    delta pending; execution never serves cached tuples. *)
 val exists_ :
   ?probe_path:Pmv.Answer.probe_path ->
   t ->

@@ -29,70 +29,13 @@ type version = {
   v_stamp : int;  (* data stamp at publication; trusted iff still current *)
 }
 
-(* Memoized per-group aggregate accumulators over one entry's cached
-   tuples, keyed by the projected group-key tuple. [ac_key]/[ac_aggs]
-   identify the grouping the memo answers; a grouped probe with a
-   different signature rebuilds it. *)
-type agg_cache = {
-  ac_key : int array;
-  ac_aggs : Aggregate.spec array;
-  ac_groups : Aggregate.acc array Tuple.Table.t;
-}
-
 type entry = {
   e_bcp : Bcp.t;
   mutable tuples : Tuple.t list;  (* most recently cached first; <= f_max *)
   mutable n : int;
   mutable refs : int;  (* lifetime references; feeds popularity ranking *)
   published : version Atomic.t;
-  mutable e_agg : agg_cache option;
-  mutable e_lapsed : bool;
-      (* a light-key delta skipped this entry's maintenance: its cached
-         tuples may be stale and must be purged before the next serve
-         (DESIGN.md Section 17) *)
 }
-
-let agg_fold ac tuple =
-  let k = Tuple.project tuple ac.ac_key in
-  let accs =
-    match Tuple.Table.find_opt ac.ac_groups k with
-    | Some accs -> accs
-    | None ->
-        let accs = Array.map (fun _ -> Aggregate.create ()) ac.ac_aggs in
-        Tuple.Table.add ac.ac_groups k accs;
-        accs
-  in
-  Array.iteri (fun i spec -> Aggregate.add spec accs.(i) tuple) ac.ac_aggs
-
-(* Subtract one removed tuple from its group; called after the entry's
-   tuple list already dropped it. COUNT/SUM invert; when a MIN/MAX
-   extremum leaves (or the group empties), the group is recomputed from
-   the entry's remaining tuples — bounded by F, the paper's per-bcp
-   cap. *)
-let agg_unfold entry ac tuple =
-  let k = Tuple.project tuple ac.ac_key in
-  match Tuple.Table.find_opt ac.ac_groups k with
-  | None -> ()
-  | Some accs ->
-      let rebuild = ref false in
-      Array.iteri
-        (fun i spec ->
-          match Aggregate.remove spec accs.(i) tuple with
-          | `Ok -> ()
-          | `Rebuild -> rebuild := true)
-        ac.ac_aggs;
-      let members =
-        List.filter (fun t -> Tuple.equal (Tuple.project t ac.ac_key) k) entry.tuples
-      in
-      if members = [] then Tuple.Table.remove ac.ac_groups k
-      else if !rebuild then
-        Tuple.Table.replace ac.ac_groups k (Aggregate.of_tuples ac.ac_aggs members)
-
-let agg_on_add entry tuple =
-  match entry.e_agg with None -> () | Some ac -> agg_fold ac tuple
-
-let agg_on_remove entry tuple =
-  match entry.e_agg with None -> () | Some ac -> agg_unfold entry ac tuple
 
 type change = Added | Removed
 
@@ -102,8 +45,6 @@ type t = {
   f_max : int;
   mutable n_tuples : int;
   mutable tuple_bytes : int;
-  mutable lapse_marked : int;  (* entries marked lapsed by light-key deltas *)
-  mutable lapse_recomputed : int;  (* lapsed entries purged at reference time *)
   mutable on_change : change -> Bcp.t -> Tuple.t -> unit;
   (* Lock-free read side. [stamp] is the data staleness clock: any
      relevant base delta bumps it, untrusting every complete version
@@ -152,8 +93,6 @@ let new_entry t bcp =
       published =
         Atomic.make
           { v_tuples = []; v_n = 0; v_complete = false; v_stamp = Atomic.get t.stamp };
-      e_agg = None;
-      e_lapsed = false;
     }
   in
   Bcp.Table.replace t.table bcp entry;
@@ -169,8 +108,6 @@ let create ?(policy = Minirel_cache.Policies.Clock) ~capacity ~f_max () =
       f_max;
       n_tuples = 0;
       tuple_bytes = 0;
-      lapse_marked = 0;
-      lapse_recomputed = 0;
       on_change = (fun _ _ _ -> ());
       stamp = Atomic.make 1;
       epoch = Minirel_parallel.Epoch.create ();
@@ -256,59 +193,6 @@ let shutdown t = ignore (Minirel_parallel.Epoch.drain t.epoch)
 
 (* ---- Write side (engine-serialized, behind the X discipline) ----- *)
 
-(* ---- Lapse protocol (DESIGN.md Section 17) ----------------------- *)
-
-let c_lapsed = Minirel_telemetry.Telemetry.counter "maint.lapsed"
-let c_recompute = Minirel_telemetry.Telemetry.counter "maint.recompute"
-
-(* A light-key delta elected to skip victim maintenance for [bcp]: mark
-   its entry lapsed instead of removing tuples. The entry keeps its
-   residency slot (and its auxiliary-index postings, still a
-   conservative victim superset) but may no longer serve cached tuples
-   until purged. Returns whether a fresh mark happened. *)
-let mark_lapsed t bcp =
-  match Bcp.Table.find_opt t.table bcp with
-  | None -> false
-  | Some entry ->
-      if entry.e_lapsed then false
-      else begin
-        entry.e_lapsed <- true;
-        t.lapse_marked <- t.lapse_marked + 1;
-        if Minirel_telemetry.Telemetry.is_enabled () then
-          Minirel_telemetry.Registry.incr c_lapsed;
-        Minirel_telemetry.Flight.record Maint_lapse ~a:entry.n;
-        true
-      end
-
-(* Recompute-on-probe: before a lapsed entry is served or refilled, its
-   possibly-stale tuples are dropped (through [on_change], keeping the
-   auxiliary indexes in step) and the entry starts over empty — the
-   following Operation O3 refills it from base truth. Runs under the
-   same engine serialization as every other entry mutation. *)
-let purge_lapsed t entry =
-  if entry.e_lapsed then begin
-    t.n_tuples <- t.n_tuples - entry.n;
-    List.iter
-      (fun tuple ->
-        t.tuple_bytes <- t.tuple_bytes - Tuple.size_bytes tuple;
-        t.on_change Removed entry.e_bcp tuple)
-      entry.tuples;
-    let dropped = entry.n in
-    entry.tuples <- [];
-    entry.n <- 0;
-    entry.e_agg <- None;
-    entry.e_lapsed <- false;
-    t.lapse_recomputed <- t.lapse_recomputed + 1;
-    if Minirel_telemetry.Telemetry.is_enabled () then
-      Minirel_telemetry.Registry.incr c_recompute;
-    Minirel_telemetry.Flight.record Maint_recompute ~a:dropped;
-    publish ~complete:false t entry
-  end
-
-let is_lapsed entry = entry.e_lapsed
-let n_lapse_marked t = t.lapse_marked
-let n_lapse_recomputed t = t.lapse_recomputed
-
 (* One query-time reference of [bcp] (Operation O2).
 
    - [`Resident]: the entry is in the PMV; serve its tuples.
@@ -325,9 +209,6 @@ let reference t bcp =
       match Bcp.Table.find_opt t.table bcp with
       | Some entry ->
           entry.refs <- entry.refs + 1;
-          (* recompute-on-probe: a lapsed entry must never serve its
-             possibly-stale tuples; it restarts empty and O3 refills *)
-          purge_lapsed t entry;
           `Resident entry
       | None ->
           (* policy and table out of sync: impossible by construction *)
@@ -341,9 +222,7 @@ let reference t bcp =
 let admit_for_fill t bcp =
   Minirel_cache.Policy.admit t.policy bcp;
   match Bcp.Table.find_opt t.table bcp with
-  | Some entry ->
-      purge_lapsed t entry;
-      entry
+  | Some entry -> entry
   | None -> new_entry t bcp
 
 (* Cache one result tuple under [entry] (Operation O3), respecting the
@@ -355,7 +234,6 @@ let add_tuple t entry tuple =
     entry.n <- entry.n + 1;
     t.n_tuples <- t.n_tuples + 1;
     t.tuple_bytes <- t.tuple_bytes + Tuple.size_bytes tuple;
-    agg_on_add entry tuple;
     t.on_change Added entry.e_bcp tuple;
     publish ~complete:false t entry;
     true
@@ -382,35 +260,10 @@ let remove_tuple t bcp tuple =
         entry.n <- entry.n - 1;
         t.n_tuples <- t.n_tuples - 1;
         t.tuple_bytes <- t.tuple_bytes - Tuple.size_bytes tuple;
-        agg_on_remove entry tuple;
         t.on_change Removed bcp tuple;
         publish ~complete:false t entry
       end;
       !removed
-
-(* Remove every cached tuple satisfying [victim]; returns the count.
-   Used by the conservative auxiliary-index maintenance path. *)
-let remove_matching t victim =
-  let removed = ref 0 in
-  let entries = Bcp.Table.fold (fun _ e acc -> e :: acc) t.table [] in
-  List.iter
-    (fun entry ->
-      let keep, drop = List.partition (fun tuple -> not (victim tuple)) entry.tuples in
-      if drop <> [] then begin
-        entry.tuples <- keep;
-        entry.n <- List.length keep;
-        List.iter
-          (fun tuple ->
-            incr removed;
-            t.n_tuples <- t.n_tuples - 1;
-            t.tuple_bytes <- t.tuple_bytes - Tuple.size_bytes tuple;
-            agg_on_remove entry tuple;
-            t.on_change Removed entry.e_bcp tuple)
-          drop;
-        publish ~complete:false t entry
-      end)
-    entries;
-  !removed
 
 let drop_entry t bcp =
   (match Bcp.Table.find_opt t.table bcp with
@@ -445,8 +298,6 @@ let install_complete t bcp tuples ~stamp =
     t.n_tuples <- t.n_tuples - entry.n;
     entry.tuples <- [];
     entry.n <- 0;
-    (* wholesale replacement: cheaper to drop the memo than replay it *)
-    entry.e_agg <- None;
     List.iter
       (fun tuple ->
         entry.tuples <- tuple :: entry.tuples;
@@ -465,26 +316,6 @@ let fold t f init =
   let acc = ref init in
   iter t (fun e -> acc := f !acc e);
   !acc
-
-(* Per-group accumulators over the entry's cached tuples. The memo is
-   (re)built when absent or when the requested grouping differs from
-   the memoized one; afterwards the add/remove choke points keep it
-   fresh. Copies are returned so callers can merge without aliasing
-   the memo. *)
-let entry_groups _t entry ~key ~aggs =
-  let ac =
-    match entry.e_agg with
-    | Some ac when ac.ac_key = key && ac.ac_aggs = aggs -> ac
-    | _ ->
-        let ac = { ac_key = key; ac_aggs = aggs; ac_groups = Tuple.Table.create 8 } in
-        List.iter (agg_fold ac) entry.tuples;
-        entry.e_agg <- Some ac;
-        ac
-  in
-  Tuple.Table.fold
-    (fun k accs out -> (k, Array.map Aggregate.copy accs) :: out)
-    ac.ac_groups []
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
 (* Paper invariant (Section 3.2): L*F*At bounds the PMV footprint. The
    published version must agree with the writer-visible entry state at

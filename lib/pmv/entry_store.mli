@@ -24,24 +24,12 @@ type version = {
   v_stamp : int;  (** data stamp at publication; see {!version_trusted} *)
 }
 
-(** Memoized per-group aggregate accumulators over one entry's cached
-    tuples (the §3.6 aggregate bcp entries). Maintained incrementally
-    at the tuple choke points: additions fold in, deletions subtract
-    (COUNT/SUM invert; a deleted MIN/MAX extremum triggers a bounded
-    per-group rebuild from the <= F cached tuples). *)
-type agg_cache
-
 type entry = {
   e_bcp : Bcp.t;
   mutable tuples : Tuple.t list;  (** most recently cached first; length <= F *)
   mutable n : int;
   mutable refs : int;  (** lifetime references; feeds popularity ranking *)
   published : version Atomic.t;  (** current immutable snapshot *)
-  mutable e_agg : agg_cache option;
-      (** grouped-aggregate memo; [None] until a grouped probe *)
-  mutable e_lapsed : bool;
-      (** a light-key delta skipped this entry's maintenance; purged
-          before its next serve (DESIGN.md Section 17) *)
 }
 
 type change = Added | Removed
@@ -137,45 +125,11 @@ val add_tuple : t -> entry -> Tuple.t -> bool
     entries may become empty but keep their slot until evicted. *)
 val remove_tuple : t -> Bcp.t -> Tuple.t -> bool
 
-(** Remove every cached tuple satisfying the predicate; returns the
-    count. Conservative auxiliary-maintenance path. *)
-val remove_matching : t -> (Tuple.t -> bool) -> int
-
 (** Drop an entry and its residency entirely. *)
 val drop_entry : t -> Bcp.t -> unit
 
-(** {2 Lapse protocol (heavy-light adaptive maintenance)} *)
-
-(** Mark [bcp]'s entry lapsed instead of removing its victims: the
-    entry keeps its slot but its cached tuples may be stale, and they
-    are purged (through [on_change]) the next time the entry is
-    referenced or refilled — recompute-on-probe. [true] on a fresh
-    mark, [false] when absent or already lapsed. *)
-val mark_lapsed : t -> Bcp.t -> bool
-
-val is_lapsed : entry -> bool
-
-(** Lifetime lapse marks / reference-time recomputes (the
-    [maint.lapsed] / [maint.recompute] telemetry). *)
-val n_lapse_marked : t -> int
-
-val n_lapse_recomputed : t -> int
-
 val iter : t -> (entry -> unit) -> unit
 val fold : t -> ('a -> entry -> 'a) -> 'a -> 'a
-
-(** Per-group accumulators over the entry's cached tuples, grouped by
-    the projected [key] positions. Creates (or rebuilds, when the
-    memo's key/agg signature differs) the entry's {!agg_cache}; later
-    tuple additions and removals keep it fresh incrementally. Returned
-    accumulators are copies — callers may merge into them freely.
-    Writer-side only (the memo is not safe to read lock-free). *)
-val entry_groups :
-  t ->
-  entry ->
-  key:int array ->
-  aggs:Minirel_query.Aggregate.spec array ->
-  (Tuple.t * Minirel_query.Aggregate.acc array) list
 
 (** The Section 3.2 bounds: entries <= L, tuples <= L*F, every entry
     consistent with its published version. *)

@@ -50,111 +50,6 @@ let answer_distinct ?locks ?txn ?probe_path ~view catalog instance ~on_tuple =
   let stats = Answer.answer ?locks ?txn ?probe_path ~view catalog instance ~on_tuple:dedup in
   (stats, Tuple.Table.length seen)
 
-(* --- aggregates (group by) --- *)
-
-type agg = Count | Sum of int | Avg of int | Min_agg of int | Max_agg of int
-
-type accumulator = { mutable count : int; mutable sum : float; mutable min : float; mutable max : float }
-
-let new_acc () = { count = 0; sum = 0.0; min = Float.infinity; max = Float.neg_infinity }
-
-let acc_add acc v =
-  acc.count <- acc.count + 1;
-  acc.sum <- acc.sum +. v;
-  if v < acc.min then acc.min <- v;
-  if v > acc.max then acc.max <- v
-
-let float_of_value = function
-  | Value.Int i -> float_of_int i
-  | Value.Float f -> f
-  | Value.Null -> 0.0
-  | Value.Str _ -> invalid_arg "Extensions: cannot aggregate a string attribute"
-
-let finish agg acc =
-  match agg with
-  | Count -> float_of_int acc.count
-  | Sum _ -> acc.sum
-  | Avg _ -> if acc.count = 0 then 0.0 else acc.sum /. float_of_int acc.count
-  | Min_agg _ -> acc.min
-  | Max_agg _ -> acc.max
-
-let measured_value agg tuple =
-  match agg with
-  | Count -> 1.0
-  | Sum pos | Avg pos | Min_agg pos | Max_agg pos -> float_of_value tuple.(pos)
-
-type grouped = {
-  partial_groups : (Tuple.t * float) list;
-      (* early, approximate: aggregates over the PMV-cached subset *)
-  exact_groups : (Tuple.t * float) list;  (* final answer *)
-  answer_stats : Answer.stats;
-}
-
-(* Group-by aggregation with early partial aggregates. [group_by] and
-   the aggregate's position index into the Ls' result tuple. The partial
-   groups summarise only the hot cached tuples — they are delivered
-   immediately and marked approximate, per the paper's changed user
-   interface for aggregate queries. *)
-let answer_grouped ?locks ?txn ~view catalog instance ~group_by ~agg =
-  let partial_tbl = Tuple.Table.create 64 in
-  let exact_tbl = Tuple.Table.create 64 in
-  let add tbl key v =
-    let acc =
-      match Tuple.Table.find_opt tbl key with
-      | Some acc -> acc
-      | None ->
-          let acc = new_acc () in
-          Tuple.Table.replace tbl key acc;
-          acc
-    in
-    acc_add acc v
-  in
-  let on_tuple phase tuple =
-    let key = Tuple.project tuple group_by in
-    let v = measured_value agg tuple in
-    (match phase with Answer.Partial -> add partial_tbl key v | Answer.Remaining -> ());
-    add exact_tbl key v
-  in
-  let answer_stats = Answer.answer ?locks ?txn ~view catalog instance ~on_tuple in
-  let collect tbl =
-    Tuple.Table.fold (fun key acc out -> (key, finish agg acc) :: out) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
-  in
-  { partial_groups = collect partial_tbl; exact_groups = collect exact_tbl; answer_stats }
-
-(* --- ORDER BY --- *)
-
-let order_compare ~order_by ~desc a b =
-  let c = Tuple.compare (Tuple.project a order_by) (Tuple.project b order_by) in
-  if desc then -c else c
-
-type ordered = {
-  early_sorted : Tuple.t list;
-      (* the PMV-served subset, sorted: shown to the user immediately,
-         marked as a hot preview (its elements need not be a prefix of
-         the final order) *)
-  final_sorted : Tuple.t list;  (* the full sorted answer *)
-  ordered_stats : Answer.stats;
-}
-
-(* Answer a query with an ORDER BY clause (Section 3.6: "with minor
-   changes in the user interface"). Sorting is blocking, so the early
-   value of the PMV here is a sorted preview of the hot tuples,
-   delivered before execution; the exact sorted result follows. *)
-let answer_ordered ?locks ?txn ~view catalog instance ~order_by ?(desc = false) () =
-  let partial = ref [] and all = ref [] in
-  let stats =
-    Answer.answer ?locks ?txn ~view catalog instance ~on_tuple:(fun phase t ->
-        all := t :: !all;
-        match phase with Answer.Partial -> partial := t :: !partial | Answer.Remaining -> ())
-  in
-  let cmp = order_compare ~order_by ~desc in
-  {
-    early_sorted = List.sort cmp !partial;
-    final_sorted = List.sort cmp !all;
-    ordered_stats = stats;
-  }
-
 (* --- early termination (Benefit 2) --- *)
 
 exception Stop
@@ -241,64 +136,28 @@ let finalize_groups ~aggs groups =
     groups
 
 (* O2-only grouped fast path: when every condition part's bcp holds a
-   trusted complete version, the grouped answer is assembled from the
-   cache alone, with no O3 execution. Exact condition parts use the
-   entry's memoized per-group accumulators (kept fresh through the
-   maintenance choke points); inexact ones filter the cached tuples by
-   the residual predicate. [None] on any miss or untrusted version. *)
-let probe_groups ?(probe_path = Answer.Locked) ~view instance ~key ~aggs =
+   trusted complete version in the view's probe store, the grouped
+   answer is assembled from the cache alone, with no O3 execution;
+   inexact condition parts filter the cached tuples by the residual
+   predicate. [None] on any miss or untrusted version. *)
+let probe_groups ~view instance ~key ~aggs =
   let compiled = Instance.compiled instance in
-  let store =
-    match probe_path with
-    | Answer.Locked -> View.store view
-    | Answer.Epoch -> View.probe_store view
-  in
-  let cps = Condition_part.decompose instance in
+  let store = View.probe_store view in
   let rec go acc = function
     | [] -> Some acc
     | cp :: rest -> (
-        let bcp = Condition_part.bcp cp in
-        match probe_path with
-        | Answer.Locked -> (
-            match Entry_store.find store bcp with
-            | None -> None
-            | Some entry ->
-                if
-                  Entry_store.is_lapsed entry
-                  || not
-                       (Entry_store.version_trusted store (Atomic.get entry.published))
-                then None
-                else
-                  let part =
-                    if Condition_part.is_exact cp then
-                      Entry_store.entry_groups store entry ~key ~aggs
-                    else
-                      let tbl = Tuple.Table.create 8 in
-                      List.iter
-                        (fun t ->
-                          if Condition_part.check compiled cp t then
-                            fold_group tbl ~key ~aggs t)
-                        entry.tuples;
-                      collect_groups tbl
-                  in
-                  go (merge_groups acc part) rest)
-        | Answer.Epoch -> (
-            match Entry_store.probe store bcp with
-            | None -> None
-            | Some v ->
-                if not (Entry_store.version_trusted store v) then None
-                else
-                  let tbl = Tuple.Table.create 8 in
-                  List.iter
-                    (fun t ->
-                      if
-                        Condition_part.is_exact cp
-                        || Condition_part.check compiled cp t
-                      then fold_group tbl ~key ~aggs t)
-                    v.v_tuples;
-                  go (merge_groups acc (collect_groups tbl)) rest))
+        match Entry_store.probe store (Condition_part.bcp cp) with
+        | Some v when Entry_store.version_trusted store v ->
+            let tbl = Tuple.Table.create 8 in
+            List.iter
+              (fun t ->
+                if Condition_part.is_exact cp || Condition_part.check compiled cp t then
+                  fold_group tbl ~key ~aggs t)
+              v.v_tuples;
+            go (merge_groups acc (collect_groups tbl)) rest
+        | Some _ | None -> None)
   in
-  go [] cps
+  go [] (Condition_part.decompose instance)
 
 (* --- ORDER BY ... LIMIT k (top-k heap) --- *)
 
@@ -336,8 +195,7 @@ let cached_witness ?(probe_path = Answer.Locked) ~view instance =
   match probe_path with
     | Answer.Locked ->
         (* a cached tuple is a valid witness only while no relevant
-           delta is waiting in deferred maintenance and its entry has
-           not lapsed (a lapsed entry's tuples may be stale) *)
+           delta is waiting in deferred maintenance *)
         let store = View.store view in
         View.pending_deltas view = []
         && List.exists
@@ -345,10 +203,9 @@ let cached_witness ?(probe_path = Answer.Locked) ~view instance =
                match Entry_store.find store (Condition_part.bcp cp) with
                | None -> false
                | Some entry ->
-                   (not (Entry_store.is_lapsed entry))
-                   && List.exists
-                        (fun tuple -> Condition_part.check compiled cp tuple)
-                        entry.Entry_store.tuples)
+                   List.exists
+                     (fun tuple -> Condition_part.check compiled cp tuple)
+                     entry.Entry_store.tuples)
              cps
     | Answer.Epoch ->
         (* lock-free: only a trusted complete version proves freshness *)

@@ -20,60 +20,6 @@ val answer_distinct :
   on_tuple:(Answer.phase -> Tuple.t -> unit) ->
   Answer.stats * int
 
-(** {1 Aggregates (group by)} *)
-
-type agg =
-  | Count
-  | Sum of int  (** position within the Ls' tuple *)
-  | Avg of int
-  | Min_agg of int
-  | Max_agg of int
-
-type grouped = {
-  partial_groups : (Tuple.t * float) list;
-      (** early, approximate: aggregated over the PMV-cached subset *)
-  exact_groups : (Tuple.t * float) list;  (** the final answer *)
-  answer_stats : Answer.stats;
-}
-
-(** Group-by aggregation with early partial aggregates; [group_by] and
-    the aggregate position index into the Ls' result tuple. The partial
-    groups summarise only the hot cached tuples and are delivered as
-    approximate, per the paper's adjusted user interface. *)
-val answer_grouped :
-  ?locks:Minirel_txn.Lock_manager.t ->
-  ?txn:int ->
-  view:View.t ->
-  Minirel_index.Catalog.t ->
-  Instance.t ->
-  group_by:int array ->
-  agg:agg ->
-  grouped
-
-(** {1 ORDER BY} *)
-
-type ordered = {
-  early_sorted : Tuple.t list;
-      (** the PMV-served subset, sorted — an immediate hot preview *)
-  final_sorted : Tuple.t list;  (** the full sorted answer *)
-  ordered_stats : Answer.stats;
-}
-
-(** Answer a query with an ORDER BY over the Ls'-tuple positions
-    [order_by] (Section 3.6's adjusted interface): a sorted preview of
-    the cached tuples is available before execution; the exact sorted
-    result follows. *)
-val answer_ordered :
-  ?locks:Minirel_txn.Lock_manager.t ->
-  ?txn:int ->
-  view:View.t ->
-  Minirel_index.Catalog.t ->
-  Instance.t ->
-  order_by:int array ->
-  ?desc:bool ->
-  unit ->
-  ordered
-
 (** {1 Early termination (Benefit 2)} *)
 
 exception Stop
@@ -148,12 +94,10 @@ val finalize_groups :
   aggs:Aggregate.spec array -> group_acc -> (Tuple.t * Value.t array) list
 
 (** O2-only grouped fast path: assemble the grouped answer from the
-    cache alone when every condition part's bcp holds a trusted
-    complete version (exact parts via the entry's memoized per-group
-    accumulators, inexact ones by filtering cached tuples). [None] on
-    any miss — fall back to {!answer_groups}. *)
+    view's probe store alone when every condition part's bcp holds a
+    trusted complete version (inexact parts filter the cached tuples).
+    [None] on any miss — fall back to {!answer_groups}. *)
 val probe_groups :
-  ?probe_path:Answer.probe_path ->
   view:View.t ->
   Instance.t ->
   key:int array ->

@@ -75,50 +75,6 @@ let handle_removal view catalog strategy ~delta_rel tuples =
     | Aux_index when View.has_aux view -> remove_via_aux view ~delta_rel tuples
     | Aux_index | Delta_join -> remove_via_delta_join view catalog ~delta_rel tuples
 
-(* ---- Heavy-light adaptive maintenance (DESIGN.md Section 17) ----- *)
-
-module Tm = Minirel_telemetry.Telemetry
-
-let c_heavy = Tm.counter "maint.heavy"
-let c_light = Tm.counter "maint.light"
-
-(* Light path: no victim removal at all — one auxiliary-index lookup
-   per deleted base tuple marks the (conservative superset of)
-   affected entries lapsed; they purge and refill on next probe. A
-   light key with nothing cached costs exactly one hash lookup. *)
-let lapse_via_aux view ~delta_rel tuples =
-  let store = View.store view in
-  List.iter
-    (fun base ->
-      View.aux_victims view ~rel:delta_rel base
-      |> List.iter (fun (bcp, _) -> ignore (Entry_store.mark_lapsed store bcp)))
-    tuples
-
-(* Removal with heavy-light classification: each deleted base tuple's
-   update key (its Ls' projection) is observed in the view's sketch;
-   heavy keys keep the eager path, light keys only lapse. Views
-   without auxiliary indexes cannot locate entries to lapse, so all
-   their keys stay heavy regardless of the classifier. *)
-let handle_removal_classified view catalog strategy ~delta_rel tuples =
-  match View.adaptive view with
-  | Some ad when View.has_aux view && tuples <> [] ->
-      let heavy, light =
-        List.partition
-          (fun base ->
-            match View.aux_base_key view ~rel:delta_rel base with
-            | Some key -> Adaptive.observe ad (delta_rel, key)
-            | None -> true)
-          tuples
-      in
-      if Tm.is_enabled () then begin
-        let module R = Minirel_telemetry.Registry in
-        R.add c_heavy (List.length heavy);
-        R.add c_light (List.length light)
-      end;
-      lapse_via_aux view ~delta_rel light;
-      handle_removal view catalog strategy ~delta_rel heavy
-  | Some _ | None -> handle_removal view catalog strategy ~delta_rel tuples
-
 (* Process one transaction delta against the view.
 
    Failpoint [maintain.apply] fires before a relevant delta is applied:
@@ -138,9 +94,7 @@ let on_delta ?(strategy = Aux_index) ?(fault = Minirel_fault.Fault.default) view
         ~b:i;
       let { Minirel_txn.Txn.inserted; deleted; updated; _ } = delta in
       stats.View.skipped_inserts <- stats.View.skipped_inserts + List.length inserted;
-      let removed =
-        ref (handle_removal_classified view catalog strategy ~delta_rel:i deleted)
-      in
+      let removed = ref (handle_removal view catalog strategy ~delta_rel:i deleted) in
       (* positions memoized on the view: once per (view, relation), not
          per updated tuple *)
       let positions = View.relevant_positions view i in
@@ -149,8 +103,7 @@ let on_delta ?(strategy = Aux_index) ?(fault = Minirel_fault.Fault.default) view
         stats.View.maint_skipped_updates + List.length irrelevant;
       removed :=
         !removed
-        + handle_removal_classified view catalog strategy ~delta_rel:i
-            (List.map fst relevant);
+        + handle_removal view catalog strategy ~delta_rel:i (List.map fst relevant);
       stats.View.maint_removed <- stats.View.maint_removed + !removed
 
 (* Pending deltas: when maintenance cannot take the X lock because a
@@ -199,9 +152,8 @@ let process_with_lock ~strategy view txn_mgr delta_opt =
         (fun () ->
           (* Take ownership of the queue before applying: the pending
              counter must clear exactly once per queued delta, even
-             when the adaptive path resolves a delta purely by lapsing
-             entries (no victim removal) or a later application
-             raises. Re-running a queued delta would double-remove. *)
+             when a later application raises. Re-running a queued
+             delta would double-remove. *)
           let queued = List.rev (View.pending_deltas view) in
           View.set_pending_deltas view [];
           List.iter (on_delta ~strategy ~fault view catalog) queued;

@@ -35,7 +35,6 @@ type t = {
   mutable txn_mgr : Minirel_txn.Txn.t option;
   default_f_max : int;
   default_policy : Minirel_cache.Policies.kind;
-  default_adaptive : bool;  (* new views get a heavy-light classifier *)
   mutable budget_total : int option;  (* global UB across all views *)
   mutable rebalance_every : int option;  (* auto-rebalance period, in answers *)
   mutable answers_since_rebalance : int;
@@ -58,9 +57,6 @@ let register_view_telemetry ?(registry = Minirel_telemetry.Registry.default) vie
       vstats.View.maint_removed <- 0;
       vstats.View.maint_skipped_updates <- 0;
       vstats.View.shaped_queries <- 0;
-      (match View.adaptive view with
-      | Some ad -> Adaptive.reset_counters ad
-      | None -> ());
       Minirel_cache.Cache_stats.reset (Entry_store.policy_stats (View.store view)))
     (fun () ->
       [
@@ -77,17 +73,6 @@ let register_view_telemetry ?(registry = Minirel_telemetry.Registry.default) vie
         ("bytes", R.Gauge (float_of_int (View.size_bytes view)));
         ("hit_ratio", R.Gauge (View.hit_ratio view));
       ]
-      @ (let store = View.store view in
-         ("maint.lapsed", R.Counter (Entry_store.n_lapse_marked store))
-         :: ("maint.recomputed", R.Counter (Entry_store.n_lapse_recomputed store))
-         ::
-         (match View.adaptive view with
-         | Some ad ->
-             [
-               ("maint.heavy", R.Counter (Adaptive.n_heavy ad));
-               ("maint.light", R.Counter (Adaptive.n_light ad));
-             ]
-         | None -> []))
       @ (let ps = View.probe_store view in
          let es = Entry_store.epoch_stats ps in
          [
@@ -103,8 +88,7 @@ let register_view_telemetry ?(registry = Minirel_telemetry.Registry.default) vie
              (Entry_store.policy_stats (View.store view))))
 
 let create ?(default_f_max = 2) ?(default_policy = Minirel_cache.Policies.Clock)
-    ?(default_adaptive = false) ?(registry = Minirel_telemetry.Registry.default)
-    catalog =
+    ?(registry = Minirel_telemetry.Registry.default) catalog =
   let t =
     {
       catalog;
@@ -115,7 +99,6 @@ let create ?(default_f_max = 2) ?(default_policy = Minirel_cache.Policies.Clock)
       txn_mgr = None;
       default_f_max;
       default_policy;
-      default_adaptive;
       budget_total = None;
       rebalance_every = None;
       answers_since_rebalance = 0;
@@ -147,13 +130,12 @@ let default_avg_tuple_bytes = 64
    refines At from representative result tuples. Alternatively pass
    [capacity] directly. @raise Invalid_argument when the template
    already has a view or when neither capacity nor budget is given. *)
-let create_view ?policy ?f_max ?capacity ?ub_bytes ?(sample = []) ?adaptive t compiled =
+let create_view ?policy ?f_max ?capacity ?ub_bytes ?(sample = []) t compiled =
   let name = compiled.Template.spec.Template.name in
   if Hashtbl.mem t.views name then
     invalid_arg (Fmt.str "Manager.create_view: template %s already has a view" name);
   let f_max = Option.value ~default:t.default_f_max f_max in
   let policy = Option.value ~default:t.default_policy policy in
-  let adaptive = Option.value ~default:t.default_adaptive adaptive in
   let capacity =
     match (capacity, ub_bytes) with
     | Some c, _ -> c
@@ -167,23 +149,12 @@ let create_view ?policy ?f_max ?capacity ?ub_bytes ?(sample = []) ?adaptive t co
         invalid_arg "Manager.create_view: pass either ~capacity or ~ub_bytes"
   in
   let view = View.create ~policy ~f_max ~capacity ~name compiled in
-  if adaptive then View.set_adaptive view (Some (Adaptive.create ()));
   Hashtbl.replace t.views name
     { view; ub_bytes; ema_value = 0.0; last_hits = 0; last_partials = 0; last_shaped = 0 };
   t.order <- name :: t.order;
   register_view_telemetry ~registry:t.registry view;
   (match t.txn_mgr with Some mgr -> Maintain.attach view mgr | None -> ());
   view
-
-(* Turn heavy-light maintenance on or off for every registered view.
-   Turning it on keeps an already-trained classifier in place. *)
-let set_adaptive_all t on =
-  List.iter
-    (fun e ->
-      if not on then View.set_adaptive e.view None
-      else if View.adaptive e.view = None then
-        View.set_adaptive e.view (Some (Adaptive.create ())))
-    (entries t)
 
 (* Attach deferred maintenance for every current and future view. *)
 let attach_maintenance t mgr =

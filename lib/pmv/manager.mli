@@ -10,13 +10,10 @@ type t
 
 (** [registry] receives the engine-level telemetry sources (buffer
     pool, plan cache, executor) and every per-view [pmv.<template>]
-    source; default: the process-global registry. [default_adaptive]
-    (default false) gives every new view a heavy-light maintenance
-    classifier (DESIGN.md Section 17). *)
+    source; default: the process-global registry. *)
 val create :
   ?default_f_max:int ->
   ?default_policy:Minirel_cache.Policies.kind ->
-  ?default_adaptive:bool ->
   ?registry:Minirel_telemetry.Registry.t ->
   Minirel_index.Catalog.t ->
   t
@@ -39,8 +36,6 @@ val find : t -> template:string -> View.t option
     ([capacity]) or from a storage budget ([ub_bytes], with [sample]
     result tuples refining the paper's At). If maintenance is attached,
     the new view subscribes immediately.
-    [adaptive] (default: the manager's [default_adaptive]) attaches a
-    heavy-light maintenance classifier to the new view.
     @raise Invalid_argument when the template already has a view or
     when neither [capacity] nor [ub_bytes] is given. *)
 val create_view :
@@ -49,14 +44,9 @@ val create_view :
   ?capacity:int ->
   ?ub_bytes:int ->
   ?sample:Minirel_storage.Tuple.t list ->
-  ?adaptive:bool ->
   t ->
   Template.compiled ->
   View.t
-
-(** Turn heavy-light maintenance on or off for every registered view;
-    turning it on keeps an already-trained classifier in place. *)
-val set_adaptive_all : t -> bool -> unit
 
 (** {2 Global UB budget arbitration (DESIGN.md Section 17)}
 

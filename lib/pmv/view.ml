@@ -49,8 +49,6 @@ type t = {
   relevant : int list array;  (* per relation: positions that matter to the view *)
   mutable pending_deltas : Minirel_txn.Txn.delta list;
       (* maintenance deferred past a reader's S lock (newest first) *)
-  mutable adaptive : Adaptive.t option;
-      (* heavy-light classifier; None = pure eager maintenance *)
 }
 
 let empty_stats () =
@@ -172,7 +170,6 @@ let create ?(policy = Minirel_cache.Policies.Clock) ?(f_max = 2) ?(aux_maintenan
       stats = empty_stats ();
       relevant;
       pending_deltas = [];
-      adaptive = None;
     }
   in
   Entry_store.set_on_change store (fun change bcp tuple ->
@@ -184,20 +181,6 @@ let create ?(policy = Minirel_cache.Policies.Clock) ?(f_max = 2) ?(aux_maintenan
 
 let pending_deltas t = t.pending_deltas
 let set_pending_deltas t ds = t.pending_deltas <- ds
-
-(* Heavy-light adaptive maintenance (DESIGN.md Section 17). The light
-   (lapse) path needs the auxiliary indexes to locate affected entries,
-   so a view without them classifies every key heavy — pure eager. *)
-let adaptive t = t.adaptive
-let set_adaptive t ad = t.adaptive <- ad
-
-(* The update key of [base] under relation [rel]: its projection onto
-   the relation's Ls' attributes — the same key the auxiliary index
-   buckets by, and the key the heavy-light classifier observes. *)
-let aux_base_key t ~rel base =
-  match t.aux with
-  | None -> None
-  | Some auxes -> Some (aux_key_of_base auxes.(rel) base)
 
 let name t = t.name
 let compiled t = t.compiled

@@ -94,21 +94,6 @@ val hit_ratio : t -> float
     Ls' attributes. @raise Invalid_argument when aux indexes are off. *)
 val aux_victims : t -> rel:int -> Tuple.t -> (Bcp.t * Tuple.t) list
 
-(** {2 Heavy-light adaptive maintenance (DESIGN.md Section 17)} *)
-
-(** The view's heavy-light classifier; [None] (the default) keeps
-    maintenance pure eager. The light (lapse) path needs the auxiliary
-    indexes to locate affected entries, so {!Maintain} treats every key
-    as heavy on views without them even when a classifier is set. *)
-val adaptive : t -> Adaptive.t option
-
-val set_adaptive : t -> Adaptive.t option -> unit
-
-(** [base]'s update key under relation [rel]: its projection onto the
-    relation's Ls' attributes (the auxiliary-index bucket key, and what
-    the classifier observes); [None] when aux indexes are off. *)
-val aux_base_key : t -> rel:int -> Tuple.t -> Tuple.t option
-
 (** Store bounds hold and every cached tuple belongs to the bcp whose
     entry holds it. *)
 val invariants_ok : t -> bool

@@ -34,8 +34,6 @@ type acc = {
 let create () =
   { n = 0; sum_int = 0; sum_float = 0.0; saw_float = false; mn = None; mx = None }
 
-let copy a = { a with n = a.n }
-
 let add_value acc = function
   | Value.Null -> ()
   | v ->
@@ -75,31 +73,6 @@ let merge dst src =
       match dst.mx with
       | Some m when Value.compare m v >= 0 -> ()
       | _ -> dst.mx <- Some v)
-
-(* COUNT/SUM are invertible; MIN/MAX can only be subtracted when the
-   removed value is strictly inside the current extrema. *)
-let remove spec acc tuple =
-  match spec with
-  | Count ->
-      acc.n <- acc.n - 1;
-      `Ok
-  | Count_of p | Sum p | Avg p | Min p | Max p -> (
-      match tuple.(p) with
-      | Value.Null -> `Ok
-      | v ->
-          acc.n <- acc.n - 1;
-          (match v with
-          | Value.Int i -> acc.sum_int <- acc.sum_int - i
-          | Value.Float f -> acc.sum_float <- acc.sum_float -. f
-          | _ -> ());
-          let ties = function Some m -> Value.compare m v = 0 | None -> true in
-          let extremum_matters = match spec with Min _ | Max _ -> true | _ -> false in
-          if acc.n = 0 then (
-            acc.mn <- None;
-            acc.mx <- None;
-            `Ok)
-          else if extremum_matters && (ties acc.mn || ties acc.mx) then `Rebuild
-          else `Ok)
 
 let sum_value acc =
   if acc.saw_float then Value.Float (acc.sum_float +. float_of_int acc.sum_int)

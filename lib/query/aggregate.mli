@@ -2,7 +2,7 @@
     shapes.
 
     An accumulator is a partial aggregate that merges associatively:
-    per-entry caches in the PMV store, per-shard partials in the
+    answers folded from cached tuples, per-shard partials in the
     router, and the brute-force oracle all fold tuples into the same
     representation, so streamed and ground-truth results can be
     compared for exact equality after {!finalize}.
@@ -47,21 +47,13 @@ val merge : acc -> acc -> unit
 (** [merge dst src] folds [src] into [dst]. Associative and
     commutative, so shard partials merge in any order. *)
 
-val copy : acc -> acc
-
-val remove : spec -> acc -> Tuple.t -> [ `Ok | `Rebuild ]
-(** Subtract one tuple (incremental maintenance). [`Rebuild] means the
-    accumulator cannot answer exactly any more (a MIN/MAX extremum was
-    deleted) and must be recomputed from the backing tuples. *)
-
 val finalize : spec -> acc -> Value.t
 (** Count -> [Int n]; Sum -> exact [Int] unless a float was folded in;
     Avg -> [Float (sum / n)] or [Null] on an empty group; Min/Max ->
     the extremum or [Null]. *)
 
 val of_tuples : spec array -> Tuple.t list -> acc array
-(** Fresh accumulators folded over a tuple list — the oracle path and
-    the per-group rebuild path. *)
+(** Fresh accumulators folded over a tuple list — the oracle path. *)
 
 val equal_acc : spec -> acc -> acc -> bool
 (** Equality of the observable state (what {!finalize} depends on). *)

@@ -102,7 +102,6 @@ type result =
   | Metrics of string  (* METRICS [RESET]: telemetry snapshot text *)
   | Slo_report of string  (* SLO [...]: tail-latency watchdog report *)
   | Flight_dump of string  (* FLIGHT [...]: flight-recorder dump / status *)
-  | Maint_report of string  (* MAINT [...]: heavy-light maintenance status *)
   | Budget_report of string  (* BUDGET [...]: UB budget arbiter status *)
 
 exception Error of string
@@ -687,61 +686,6 @@ let exec_statement t sql =
       | Ast.Flight_off ->
           Flight.set_enabled false;
           Flight_dump "flight recorder disabled")
-  | Ast.St_maint { arg } -> (
-      (* heavy-light adaptive maintenance (DESIGN.md Section 17); a
-         sharded shell applies to / reports over every shard's manager *)
-      let managers =
-        match t.router with
-        | Some router -> List.map Engine.manager (Router.shards router)
-        | None -> [ manager t ]
-      in
-      match arg with
-      | Ast.Maint_on ->
-          List.iter (fun m -> Pmv.Manager.set_adaptive_all m true) managers;
-          Maint_report "heavy-light adaptive maintenance enabled on every view"
-      | Ast.Maint_off ->
-          List.iter (fun m -> Pmv.Manager.set_adaptive_all m false) managers;
-          Maint_report "heavy-light adaptive maintenance disabled (pure eager)"
-      | Ast.Maint_status ->
-          (* sum per template across shards *)
-          let rows = Hashtbl.create 8 in
-          let order = ref [] in
-          List.iter
-            (fun m ->
-              List.iter
-                (fun view ->
-                  let name = Pmv.View.name view in
-                  let store = Pmv.View.store view in
-                  let on, heavy, light =
-                    match Pmv.View.adaptive view with
-                    | Some ad -> (true, Pmv.Adaptive.n_heavy ad, Pmv.Adaptive.n_light ad)
-                    | None -> (false, 0, 0)
-                  in
-                  let lapsed = Pmv.Entry_store.n_lapse_marked store in
-                  let recomputed = Pmv.Entry_store.n_lapse_recomputed store in
-                  match Hashtbl.find_opt rows name with
-                  | Some (o, h, l, la, re) ->
-                      Hashtbl.replace rows name
-                        (o || on, h + heavy, l + light, la + lapsed, re + recomputed)
-                  | None ->
-                      order := name :: !order;
-                      Hashtbl.replace rows name (on, heavy, light, lapsed, recomputed))
-                (Pmv.Manager.views m))
-            managers;
-          let b = Buffer.create 256 in
-          Buffer.add_string b
-            (Fmt.str "%-16s %-9s %-8s %-8s %-8s %-10s" "template" "adaptive" "heavy"
-               "light" "lapsed" "recomputed");
-          List.iter
-            (fun name ->
-              let on, h, l, la, re = Hashtbl.find rows name in
-              Buffer.add_string b
-                (Fmt.str "@.%-16s %-9s %-8d %-8d %-8d %-10d" name
-                   (if on then "on" else "off")
-                   h l la re))
-            (List.rev !order);
-          if !order = [] then Buffer.add_string b "\n(no views)";
-          Maint_report (Buffer.contents b))
   | Ast.St_budget { arg } -> (
       (* global UB budget arbitration (DESIGN.md Section 17). With a
          router, TOTAL is per shard — consistent with create_view's
@@ -827,5 +771,4 @@ let pp_result ppf = function
   | Metrics text -> Fmt.pf ppf "%s" text
   | Slo_report text -> Fmt.pf ppf "%s" text
   | Flight_dump text -> Fmt.pf ppf "%s" text
-  | Maint_report text -> Fmt.pf ppf "%s" text
   | Budget_report text -> Fmt.pf ppf "%s" text

@@ -72,11 +72,6 @@ type result =
       (** [FLIGHT [DUMP]]: the merged, time-ordered flight-recorder
           event log with its digest; [FLIGHT RESET|ON|OFF] confirm
           their action *)
-  | Maint_report of string
-      (** [MAINT [STATUS]]: per-template heavy-light maintenance
-          counters (heavy/light classifications, lapsed and recomputed
-          entries) summed across shards; [MAINT ON|OFF] confirm their
-          action *)
   | Budget_report of string
       (** [BUDGET [STATUS]]: the UB budget arbiter's armed total,
           rebalance count and current footprint; [BUDGET TOTAL <bytes>]

@@ -56,7 +56,7 @@ type result = {
 
 let capacity_of config =
   match config.policy with
-  | Policies.Two_q | Policies.Two_q_full -> config.n
+  | Policies.Two_q -> config.n
   | Policies.Clock | Policies.Lru | Policies.Fifo ->
       max 1 (int_of_float (1.02 *. float_of_int config.n))
 

@@ -65,12 +65,10 @@ type statement =
   | St_metrics of { reset : bool }  (* METRICS [RESET]: telemetry snapshot *)
   | St_slo of { arg : slo_arg }  (* SLO [RESET | THRESHOLD <us>]: tail-latency watchdog *)
   | St_flight of { arg : flight_arg }  (* FLIGHT [DUMP | RESET | ON | OFF] *)
-  | St_maint of { arg : maint_arg }  (* MAINT [STATUS | ON | OFF]: heavy-light maintenance *)
   | St_budget of { arg : budget_arg }  (* BUDGET [STATUS | REBALANCE | TOTAL <bytes>] *)
 
 and slo_arg = Slo_report | Slo_reset | Slo_threshold of int  (* microseconds *)
 and flight_arg = Flight_dump | Flight_reset | Flight_on | Flight_off
-and maint_arg = Maint_status | Maint_on | Maint_off
 and budget_arg = Budget_status | Budget_rebalance | Budget_total of int  (* bytes *)
 
 let lit_to_value = function

@@ -27,7 +27,6 @@ type token =
   | METRICS
   | SLO
   | FLIGHT
-  | MAINT
   | BUDGET
   | GROUP
   | ORDER
@@ -77,7 +76,6 @@ let token_to_string = function
   | METRICS -> "METRICS"
   | SLO -> "SLO"
   | FLIGHT -> "FLIGHT"
-  | MAINT -> "MAINT"
   | BUDGET -> "BUDGET"
   | GROUP -> "GROUP"
   | ORDER -> "ORDER"
@@ -136,7 +134,6 @@ let keyword_of_string s =
   | "metrics" -> Some METRICS
   | "slo" -> Some SLO
   | "flight" -> Some FLIGHT
-  | "maint" -> Some MAINT
   | "budget" -> Some BUDGET
   | "group" -> Some GROUP
   | "order" -> Some ORDER

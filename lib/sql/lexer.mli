@@ -27,7 +27,6 @@ type token =
   | METRICS
   | SLO
   | FLIGHT
-  | MAINT
   | BUDGET
   | GROUP
   | ORDER

@@ -380,23 +380,6 @@ let parse_statement input =
           | _ -> Flight_dump
         in
         St_flight { arg }
-    | Lexer.MAINT ->
-        advance st;
-        let arg =
-          match peek st with
-          | Lexer.ON ->
-              (* ON is already a keyword (CREATE INDEX ... ON) *)
-              advance st;
-              Maint_on
-          | Lexer.IDENT id when String.lowercase_ascii id = "off" ->
-              advance st;
-              Maint_off
-          | Lexer.IDENT id when String.lowercase_ascii id = "status" ->
-              advance st;
-              Maint_status
-          | _ -> Maint_status
-        in
-        St_maint { arg }
     | Lexer.BUDGET ->
         advance st;
         let arg =

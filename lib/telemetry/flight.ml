@@ -27,8 +27,6 @@ type kind =
   | Fault_hit
   | Maint_defer
   | Maint_apply
-  | Maint_lapse
-  | Maint_recompute
   | Budget_rebalance
   | Slo_breach
   | Dump_trigger
@@ -47,8 +45,6 @@ let kind_to_string = function
   | Fault_hit -> "fault.hit"
   | Maint_defer -> "maint.defer"
   | Maint_apply -> "maint.apply"
-  | Maint_lapse -> "maint.lapse"
-  | Maint_recompute -> "maint.recompute"
   | Budget_rebalance -> "budget.rebalance"
   | Slo_breach -> "slo.breach"
   | Dump_trigger -> "dump.trigger"
@@ -67,13 +63,11 @@ let kind_code = function
   | Fault_hit -> 8
   | Maint_defer -> 9
   | Maint_apply -> 10
-  | Maint_lapse -> 11
-  | Maint_recompute -> 12
-  | Budget_rebalance -> 13
-  | Slo_breach -> 14
-  | Dump_trigger -> 15
-  | Sched_steal -> 16
-  | Task_exn -> 17
+  | Budget_rebalance -> 11
+  | Slo_breach -> 12
+  | Dump_trigger -> 13
+  | Sched_steal -> 14
+  | Task_exn -> 15
 
 let n_rings = 8
 
@@ -141,8 +135,7 @@ let kinds_by_code =
   [|
     Probe_hit; Probe_miss; Version_publish; Version_distrust; Epoch_advance;
     Epoch_reclaim; Stale_purge; Lock_wait; Fault_hit; Maint_defer; Maint_apply;
-    Maint_lapse; Maint_recompute; Budget_rebalance; Slo_breach; Dump_trigger;
-    Sched_steal; Task_exn;
+    Budget_rebalance; Slo_breach; Dump_trigger; Sched_steal; Task_exn;
   |]
 
 let record ?(a = 0) ?(b = 0) ?ts kind =

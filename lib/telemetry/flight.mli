@@ -17,8 +17,6 @@ type kind =
   | Fault_hit
   | Maint_defer
   | Maint_apply
-  | Maint_lapse  (** light-key lapse mark: [a]=tuples left in the entry *)
-  | Maint_recompute  (** lapsed entry purged at reference: [a]=tuples dropped *)
   | Budget_rebalance  (** arbiter resized a view: [a]=template id, [b]=new L *)
   | Slo_breach
   | Dump_trigger

@@ -88,29 +88,6 @@ let test_fifo_order () =
   check Alcotest.bool "1 evicted despite recency" false (Policy.mem p 1);
   check Alcotest.bool "2 kept" true (Policy.mem p 2)
 
-let test_two_q_full () =
-  let p = Minirel_cache.Two_q_full.create ~capacity:8 in
-  (* cold keys are admitted immediately (into A1in) *)
-  check outcome "cold admits" `Admitted (Policy.reference p 1);
-  check Alcotest.bool "resident in A1in" true (Policy.mem p 1);
-  check outcome "A1in hit does not promote" `Resident (Policy.reference p 1);
-  (* push 1 out of A1in (capacity/4 = 2) into the ghost queue *)
-  ignore (Policy.reference p 2);
-  ignore (Policy.reference p 3);
-  ignore (Policy.reference p 4);
-  check Alcotest.bool "1 spilled from A1in" false (Policy.mem p 1);
-  (* referencing the ghost promotes to Am *)
-  check outcome "ghost promotes to Am" `Admitted (Policy.reference p 1);
-  check Alcotest.bool "now in Am" true (Policy.mem p 1);
-  (* Am hits keep it *)
-  check outcome "Am hit" `Resident (Policy.reference p 1);
-  check Alcotest.bool "never admits on fill" false (Policy.admit_on_fill p);
-  (* capacity 1 degenerates safely *)
-  let tiny = Minirel_cache.Two_q_full.create ~capacity:1 in
-  ignore (Policy.reference tiny 1);
-  ignore (Policy.reference tiny 2);
-  check Alcotest.int "tiny stays bounded" 1 (Policy.size tiny)
-
 let test_stats () =
   let p = Minirel_cache.Clock.create ~capacity:1 in
   ignore (Policy.reference p 1);
@@ -123,10 +100,41 @@ let test_stats () =
   check Alcotest.bool "hit ratio" true
     (abs_float (Minirel_cache.Cache_stats.hit_ratio s -. 0.5) < 1e-9)
 
+(* The budget arbiter's resize: shrinking evicts down to the new bound
+   through the eviction callback, growing only raises the bound. *)
+let test_policy_resize () =
+  List.iter
+    (fun kind ->
+      let label = Policies.to_string kind in
+      let p = Policies.make kind ~capacity:8 in
+      let evicted = ref [] in
+      Policy.set_on_evict p (fun k -> evicted := k :: !evicted);
+      for k = 1 to 8 do
+        Policy.admit p k;
+        (* a second touch promotes staged keys under 2Q *)
+        ignore (Policy.reference p k)
+      done;
+      let before = Policy.size p in
+      Policy.resize p 3;
+      check Alcotest.int (label ^ ": capacity follows") 3 (Policy.capacity p);
+      check Alcotest.bool (label ^ ": shrunk to bound") true (Policy.size p <= 3);
+      check Alcotest.bool (label ^ ": eviction callback saw the victims") true
+        (List.length !evicted >= before - 3);
+      Policy.resize p 10;
+      check Alcotest.int (label ^ ": grow raises the bound") 10 (Policy.capacity p);
+      check Alcotest.bool (label ^ ": grow evicts nothing") true (Policy.size p <= 3);
+      check Alcotest.bool (label ^ ": rejects non-positive") true
+        (match Policy.resize p 0 with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    Policies.all
+
 let prop_capacity_never_exceeded =
   QCheck2.Test.make ~name:"no policy exceeds its capacity" ~count:250
     QCheck2.Gen.(
-      triple (int_range 1 8) (int_range 0 4) (list_size (int_range 1 200) (int_range 0 20)))
+      triple (int_range 1 8)
+        (int_range 0 (List.length Policies.all - 1))
+        (list_size (int_range 1 200) (int_range 0 20)))
     (fun (capacity, which, keys) ->
       let kind = List.nth Policies.all which in
       let p = Policies.make kind ~capacity in
@@ -183,8 +191,8 @@ let suite =
     Alcotest.test_case "2q ghost eviction" `Quick test_two_q_ghost_eviction;
     Alcotest.test_case "lru order" `Quick test_lru_order;
     Alcotest.test_case "fifo ignores recency" `Quick test_fifo_order;
-    Alcotest.test_case "full 2q" `Quick test_two_q_full;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "policy resize across all policies" `Quick test_policy_resize;
     QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;
     QCheck_alcotest.to_alcotest prop_lru_matches_model;
     QCheck_alcotest.to_alcotest prop_clock_eviction_consistency;

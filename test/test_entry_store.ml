@@ -66,18 +66,6 @@ let test_remove_tuple () =
   (* empty entries keep their residency *)
   check Alcotest.bool "still resident" true (Entry_store.find s (bcp 1) <> None)
 
-let test_remove_matching () =
-  let s = Entry_store.create ~capacity:4 ~f_max:3 () in
-  List.iter
-    (fun (b, j) ->
-      let e = Entry_store.admit_for_fill s (bcp b) in
-      ignore (Entry_store.add_tuple s e (tup b j)))
-    [ (1, 1); (1, 2); (2, 1); (3, 5) ];
-  let n = Entry_store.remove_matching s (fun t -> Value.equal t.(1) (vi 1)) in
-  check Alcotest.int "two victims" 2 n;
-  check Alcotest.int "left" 2 (Entry_store.n_tuples s);
-  check Alcotest.bool "invariants" true (Entry_store.invariants_ok s)
-
 let test_tuple_bytes_accounting () =
   let s = Entry_store.create ~capacity:4 ~f_max:2 () in
   let e = Entry_store.admit_for_fill s (bcp 1) in
@@ -160,7 +148,6 @@ let suite =
     Alcotest.test_case "2q storability" `Quick test_two_q_storability;
     Alcotest.test_case "eviction drops tuples" `Quick test_eviction_drops_tuples;
     Alcotest.test_case "remove tuple" `Quick test_remove_tuple;
-    Alcotest.test_case "remove matching" `Quick test_remove_matching;
     Alcotest.test_case "byte accounting" `Quick test_tuple_bytes_accounting;
     Alcotest.test_case "drop entry" `Quick test_drop_entry;
     Alcotest.test_case "probe tracks fills" `Quick test_probe_tracks_fills;

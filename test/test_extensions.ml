@@ -37,7 +37,8 @@ let test_grouped_aggregates () =
   (* warm the PMV so partial groups exist on the second run *)
   ignore (Helpers.collect_answer ~view catalog inst);
   (* group by g (position 3 in Ls' = rkey, e, f, g), count *)
-  let r = Ext.answer_grouped ~view catalog inst ~group_by:[| 3 |] ~agg:Ext.Count in
+  let aggs = [| Aggregate.Count |] in
+  let r = Ext.answer_groups ~view catalog inst ~key:[| 3 |] ~aggs in
   let brute = Helpers.brute_force_answer catalog inst in
   let expect_tbl = Hashtbl.create 8 in
   List.iter
@@ -45,40 +46,39 @@ let test_grouped_aggregates () =
       let k = Value.int_exn t.(3) in
       Hashtbl.replace expect_tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt expect_tbl k)))
     brute;
-  check Alcotest.int "group count" (Hashtbl.length expect_tbl) (List.length r.Ext.exact_groups);
+  let count (_, accs) = accs.(0).Aggregate.n in
+  check Alcotest.int "group count" (Hashtbl.length expect_tbl)
+    (List.length r.Ext.g_groups);
   List.iter
-    (fun (key, v) ->
-      let k = Value.int_exn key.(0) in
-      check (Alcotest.float 1e-9) "exact group value"
-        (float_of_int (Hashtbl.find expect_tbl k))
-        v)
-    r.Ext.exact_groups;
+    (fun ((key, _) as g) ->
+      check Alcotest.int "exact group value"
+        (Hashtbl.find expect_tbl (Value.int_exn key.(0)))
+        (count g))
+    r.Ext.g_groups;
   (* partial groups only summarise cached tuples: each partial count is
      bounded by the exact one *)
   List.iter
-    (fun (key, v) ->
-      let exact = List.assoc key (List.map (fun (k, v) -> (k, v)) r.Ext.exact_groups) in
-      check Alcotest.bool "partial <= exact" true (v <= exact +. 1e-9))
-    r.Ext.partial_groups;
-  check Alcotest.bool "some partial groups" true (r.Ext.partial_groups <> [])
+    (fun ((key, _) as g) ->
+      let exact = List.find (fun (k, _) -> Tuple.equal k key) r.Ext.g_groups in
+      check Alcotest.bool "partial <= exact" true (count g <= count exact))
+    r.Ext.g_partial;
+  check Alcotest.bool "some partial groups" true (r.Ext.g_partial <> [])
 
 let test_grouped_sum_avg () =
   let catalog, c, view = setup () in
   let inst = Instance.make c [| Instance.Dvalues [ vi 1 ]; Instance.Dvalues [ vi 1 ] |] in
-  (* sum over e (position 1) grouped by f (position 2) *)
-  let r = Ext.answer_grouped ~view catalog inst ~group_by:[| 2 |] ~agg:(Ext.Sum 1) in
+  (* sum and avg over e (position 1) grouped by f (position 2) *)
+  let aggs = [| Aggregate.Sum 1; Aggregate.Avg 1 |] in
+  let r = Ext.answer_groups ~view catalog inst ~key:[| 2 |] ~aggs in
   let brute = Helpers.brute_force_answer catalog inst in
   let total = List.fold_left (fun acc t -> acc + Value.int_exn t.(1)) 0 brute in
-  (match r.Ext.exact_groups with
-  | [ (_, v) ] -> check (Alcotest.float 1e-9) "sum" (float_of_int total) v
-  | gs -> Alcotest.failf "expected one group, got %d" (List.length gs));
-  let ravg = Ext.answer_grouped ~view catalog inst ~group_by:[| 2 |] ~agg:(Ext.Avg 1) in
-  match ravg.Ext.exact_groups with
-  | [ (_, v) ] ->
+  match Ext.finalize_groups ~aggs r.Ext.g_groups with
+  | [ (_, [| sum; Value.Float avg |]) ] ->
+      check Helpers.value "sum" (vi total) sum;
       check (Alcotest.float 1e-6) "avg"
         (float_of_int total /. float_of_int (List.length brute))
-        v
-  | _ -> Alcotest.fail "avg groups"
+        avg
+  | gs -> Alcotest.failf "expected one sum/avg group, got %d" (List.length gs)
 
 let test_exists () =
   let catalog, c, view = setup () in
@@ -140,30 +140,23 @@ let test_ordered () =
   let catalog, c, view = setup () in
   let inst = Instance.make c [| Instance.Dvalues [ vi 1; vi 2 ]; Instance.Dvalues [ vi 1 ] |] in
   ignore (Helpers.collect_answer ~view catalog inst);
-  (* order by e (position 1) ascending *)
-  let r = Ext.answer_ordered ~view catalog inst ~order_by:[| 1 |] () in
   let expect =
     List.sort
       (fun a b -> Value.compare a.(1) b.(1))
       (Helpers.brute_force_answer catalog inst)
   in
-  check Alcotest.int "final size" (List.length expect) (List.length r.Ext.final_sorted);
+  let k = List.length expect in
+  (* order by e (position 1) ascending, the whole answer as the limit *)
+  let asc, _ = Ext.answer_ordered_k ~view catalog inst ~order:[| (1, false) |] ~k in
+  check Alcotest.int "final size" k (List.length asc);
   check Alcotest.bool "final sorted correctly" true
-    (List.for_all2 (fun a b -> Value.equal a.(1) b.(1)) r.Ext.final_sorted expect);
-  check Alcotest.bool "early preview nonempty" true (r.Ext.early_sorted <> []);
-  (* the preview is itself sorted and a sub-multiset of the answer *)
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> Value.compare a.(1) b.(1) <= 0 && sorted rest
-    | _ -> true
-  in
-  check Alcotest.bool "preview sorted" true (sorted r.Ext.early_sorted);
-  let desc = Ext.answer_ordered ~view catalog inst ~order_by:[| 1 |] ~desc:true () in
-  (* ties keep stable order in both directions, so compare the key
-     sequence, not whole tuples *)
+    (List.for_all2 (fun a b -> Value.equal a.(1) b.(1)) asc expect);
+  let desc, _ = Ext.answer_ordered_k ~view catalog inst ~order:[| (1, true) |] ~k in
+  (* ties break on the whole tuple ascending in both directions, so
+     compare the key sequence, not whole tuples *)
   let keys rows = List.map (fun t -> t.(1)) rows in
   check Alcotest.bool "desc reverses the key order" true
-    (List.for_all2 Value.equal (keys desc.Ext.final_sorted)
-       (List.rev (keys r.Ext.final_sorted)))
+    (List.for_all2 Value.equal (keys desc) (List.rev (keys asc)))
 
 let test_first_k () =
   let catalog, c, view = setup () in

@@ -101,10 +101,49 @@ let test_report () =
   check Alcotest.int "queries counted" 1 eqt_row.Manager.queries;
   check Alcotest.bool "bytes accounted" true (Manager.total_bytes m >= eqt_row.Manager.bytes)
 
+let test_budget_rebalance () =
+  let catalog, c_eqt, c_iv = setup () in
+  let m = Manager.create ~default_f_max:2 catalog in
+  let v1 = Manager.create_view ~ub_bytes:40_000 m c_eqt in
+  let v2 = Manager.create_view ~ub_bytes:40_000 m c_iv in
+  check Alcotest.bool "no budget, no rebalance" true (Manager.rebalance m = []);
+  Manager.set_global_budget m 80_000;
+  check Alcotest.bool "budget armed" true (Manager.global_budget m = Some 80_000);
+  (* all traffic to v1: its hit value per byte should dominate *)
+  for f = 0 to 4 do
+    for g = 0 to 3 do
+      let inst =
+        Instance.make c_eqt [| Instance.Dvalues [ vi f ]; Instance.Dvalues [ vi g ] |]
+      in
+      for _ = 1 to 3 do
+        ignore (Manager.answer m inst ~on_tuple:(fun _ _ -> ()))
+      done
+    done
+  done;
+  let ls = Manager.rebalance m in
+  check Alcotest.int "both views re-sized" 2 (List.length ls);
+  check Alcotest.int "rebalance counted" 1 (Manager.rebalances m);
+  let l_of name = List.assoc name ls in
+  check Alcotest.bool "hot view grows past the cold one" true (l_of "eqt" > l_of "eqt_iv");
+  check Alcotest.bool "cold view keeps its floored share" true (l_of "eqt_iv" > 0);
+  check Alcotest.int "capacity applied to the hot store" (l_of "eqt")
+    (Pmv.Entry_store.capacity (View.store v1));
+  check Alcotest.int "capacity applied to the cold store" (l_of "eqt_iv")
+    (Pmv.Entry_store.capacity (View.store v2));
+  (* answers stay exact after the resize *)
+  let inst =
+    Instance.make c_eqt [| Instance.Dvalues [ vi 1 ]; Instance.Dvalues [ vi 1 ] |]
+  in
+  let got = ref [] in
+  let _ = Manager.answer m inst ~on_tuple:(fun _ t -> got := t :: !got) in
+  check Alcotest.bool "exact after rebalance" true
+    (Helpers.same_multiset !got (Helpers.brute_force_answer catalog inst))
+
 let suite =
   [
     Alcotest.test_case "create and route" `Quick test_create_and_route;
     Alcotest.test_case "budget sizing" `Quick test_budget_sizing;
     Alcotest.test_case "maintenance attachment" `Quick test_maintenance_attachment;
     Alcotest.test_case "report" `Quick test_report;
+    Alcotest.test_case "manager budget rebalance" `Quick test_budget_rebalance;
   ]

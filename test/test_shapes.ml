@@ -119,23 +119,6 @@ let qcheck_merge_associative =
       && Aggregate.equal_acc spec left comm
       && Value.equal (Aggregate.finalize spec left) (Aggregate.finalize spec comm))
 
-let test_remove_inverts_add () =
-  let spec = Aggregate.Sum 1 in
-  let acc = Aggregate.create () in
-  List.iter (Aggregate.add spec acc) [ row 3; row 7 ];
-  check Alcotest.bool "sum removal ok" true (Aggregate.remove spec acc (row 7) = `Ok);
-  let solo = Aggregate.create () in
-  Aggregate.add spec solo (row 3);
-  check Alcotest.bool "back to singleton" true (Aggregate.equal_acc spec solo acc)
-
-let test_minmax_remove_extremum_rebuilds () =
-  let spec = Aggregate.Min 1 in
-  let acc = Aggregate.create () in
-  List.iter (Aggregate.add spec acc) [ row 2; row 5; row 9 ];
-  check Alcotest.bool "interior delete fine" true (Aggregate.remove spec acc (row 5) = `Ok);
-  check Alcotest.bool "extremum delete rebuilds" true
-    (Aggregate.remove spec acc (row 2) = `Rebuild)
-
 let test_nulls_skipped () =
   let spec = Aggregate.Avg 1 in
   let acc = Aggregate.create () in
@@ -288,8 +271,8 @@ let test_exists_witness_from_pmv () =
   | false, _ -> Alcotest.fail "exists lost the witness");
   check Alcotest.bool "cached_witness agrees" true (Ext.cached_witness ~view q)
 
-(* The per-entry aggregate memo must not survive maintenance: delete
-   rows through an attached txn manager and re-ask. *)
+(* Grouped answers over cached entries must not outlive maintenance:
+   delete rows through an attached txn manager and re-ask. *)
 let test_entry_agg_cache_fresh_after_delete () =
   let catalog, c, view = setup () in
   let mgr = Txn.create catalog in
@@ -319,12 +302,12 @@ let test_probe_groups_fast_path () =
   let view = View.create ~capacity:64 ~f_max:64 ~name:"shapes_probe" c in
   let q = inst c ~fs:[ 2 ] ~gs:[ 2 ] in
   check Alcotest.bool "cold probe misses" true
-    (Ext.probe_groups ~probe_path:Answer.Epoch ~view q ~key:key_g ~aggs:aggs_all = None);
+    (Ext.probe_groups ~view q ~key:key_g ~aggs:aggs_all = None);
   (* the first epoch answer misses, falls back and installs trusted
      complete versions into the probe store *)
   ignore
     (Answer.answer ~probe_path:Answer.Epoch ~view catalog q ~on_tuple:(fun _ _ -> ()));
-  match Ext.probe_groups ~probe_path:Answer.Epoch ~view q ~key:key_g ~aggs:aggs_all with
+  match Ext.probe_groups ~view q ~key:key_g ~aggs:aggs_all with
   | None -> Alcotest.fail "warm probe should hit"
   | Some acc ->
       check Alcotest.bool "probe == oracle" true
@@ -709,9 +692,6 @@ let suite =
     Alcotest.test_case "sum turns float on float input" `Quick test_sum_goes_float;
     Alcotest.test_case "avg ships sum+count" `Quick test_avg_is_sum_plus_count;
     QCheck_alcotest.to_alcotest qcheck_merge_associative;
-    Alcotest.test_case "remove inverts add" `Quick test_remove_inverts_add;
-    Alcotest.test_case "min/max extremum delete rebuilds" `Quick
-      test_minmax_remove_extremum_rebuilds;
     Alcotest.test_case "nulls skipped" `Quick test_nulls_skipped;
     Alcotest.test_case "of_tuples == incremental adds" `Quick
       test_of_tuples_matches_incremental;

@@ -295,6 +295,46 @@ let test_sharded_torture_smoke () =
   check Alcotest.bool "queries oracle-checked" true (o.Torture.queries > 0);
   check Alcotest.bool "txns committed" true (o.Torture.txns > 0)
 
+(* EXISTS while every shard's maintenance is deferred: the views still
+   cache tuples a broadcast delete removed from the base data, so no
+   shard may answer from them — neither as a cached witness nor as the
+   first tuple of an early-stopped answer — on either read path. *)
+let test_exists_under_pending_delete () =
+  let module Fault = Minirel_fault.Fault in
+  let reference, router, compiled = make ~shards:3 () in
+  ignore (Router.create_view ~capacity:64 router compiled);
+  let q = inst compiled ~fs:[ 0 ] ~gs:[ 0 ] in
+  ignore (route_answer router q ~on_tuple:(fun _ _ -> ()));
+  check Alcotest.bool "a witness exists before the delete" true
+    (fst (Router.exists_ router q));
+  let regs = List.map Engine.fault (Router.shards router) in
+  List.iter
+    (fun r ->
+      Fault.enable_in r;
+      Fault.arm_in r "maintain.defer" Fault.Always)
+    regs;
+  Fun.protect
+    ~finally:(fun () -> List.iter Fault.disable_in regs)
+    (fun () ->
+      mirror reference router
+        (Txn.Delete { rel = "r"; pred = Predicate.Cmp (Predicate.Eq, 2, vi 0) });
+      check Alcotest.bool "maintenance is pending" true
+        (List.exists
+           (fun e ->
+             List.exists
+               (fun v -> Pmv.Maintain.n_pending v > 0)
+               (Pmv.Manager.views (Engine.manager e)))
+           (Router.shards router));
+      check Alcotest.bool "oracle: no witness left" false
+        (Check.ground_truth_exists reference q);
+      List.iter
+        (fun path ->
+          let got, _ = Router.exists_ ~probe_path:path router q in
+          check Alcotest.bool
+            (Fmt.str "%s exists" (Pmv.Answer.probe_path_to_string path))
+            false got)
+        [ Pmv.Answer.Locked; Pmv.Answer.Epoch ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_merged_stream;
@@ -311,5 +351,7 @@ let suite =
       test_epoch_fast_path;
     Alcotest.test_case "locked and epoch paths answer identically" `Quick
       test_probe_path_parity;
+    Alcotest.test_case "exists ignores caches a pending delete made stale" `Quick
+      test_exists_under_pending_delete;
     Alcotest.test_case "sharded torture smoke" `Slow test_sharded_torture_smoke;
   ]

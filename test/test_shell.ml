@@ -243,32 +243,14 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-let test_maint_budget_verbs () =
+let test_budget_verbs () =
   let shell = fresh_shell () in
   let run = build_inventory shell in
-  (* a select registers a view to classify and arbitrate over *)
+  (* a select registers a view to arbitrate over *)
   ignore
     (run
        "select i.label, s.qty from items i, stock s where i.ik = s.ik and (i.category = \
         2) and (s.store = 1)");
-  (match run "maint on" with
-  | Shell.Maint_report _ -> ()
-  | _ -> Alcotest.fail "maint on");
-  (* churn under adaptive maintenance, then read the classification *)
-  ignore (run "delete from stock where stock.store = 1");
-  (match run "maint status" with
-  | Shell.Maint_report s ->
-      check Alcotest.bool "status reports the view adaptive" true (contains s "on")
-  | _ -> Alcotest.fail "maint status");
-  (* answers stay exact with lapsed entries in the store *)
-  (match
-     run
-       "select i.label, s.qty from items i, stock s where i.ik = s.ik and (i.category = \
-        2) and (s.store = 1)"
-   with
-  | Shell.Rows { rows; _ } ->
-      check Alcotest.int "store-1 stock deleted" 0 (List.length rows)
-  | _ -> Alcotest.fail "select after lapse");
   (match run "budget status" with
   | Shell.Budget_report s ->
       check Alcotest.bool "no budget armed yet" true (contains s "not armed")
@@ -283,9 +265,6 @@ let test_maint_budget_verbs () =
   (match run "budget rebalance" with
   | Shell.Budget_report s -> check Alcotest.bool "rebalance resizes" true (contains s "L=")
   | _ -> Alcotest.fail "budget rebalance");
-  (match run "maint off" with
-  | Shell.Maint_report _ -> ()
-  | _ -> Alcotest.fail "maint off");
   match Shell.exec shell "budget total -3" with
   | _ -> Alcotest.fail "negative budget accepted"
   | exception (Shell.Error _ | Minirel_sql.Parser.Error _ | Invalid_argument _) -> ()
@@ -302,5 +281,5 @@ let suite =
     Alcotest.test_case "distinct select" `Quick test_distinct_select;
     Alcotest.test_case "explain" `Quick test_explain;
     Alcotest.test_case "errors" `Quick test_errors;
-    Alcotest.test_case "maint and budget verbs" `Quick test_maint_budget_verbs;
+    Alcotest.test_case "budget verbs" `Quick test_budget_verbs;
   ]

@@ -278,29 +278,16 @@ else
   echo "bench_diff: no committed BENCH_shapes.json baseline - skipped"
 fi
 
-# ---- adaptive: heavy-light maintenance + budget arbitration ----------
+# ---- adaptive: budget arbitration ------------------------------------
 if git cat-file -e HEAD:BENCH_adaptive.json 2>/dev/null && [ -f "$fresh_adaptive" ]; then
   base="$tmpdir/adaptive_base.json"
   git show HEAD:BENCH_adaptive.json >"$base"
 
-  # the post-churn oracle must be clean on any host
+  # the oracle must be clean on any host
   oracle=$(jget "$fresh_adaptive" oracle_clean)
   if [ "$oracle" != "true" ]; then
-    echo "bench_diff FAIL: fresh adaptive bench is not oracle-clean after the churn" >&2
+    echo "bench_diff FAIL: fresh budget bench is not oracle-clean" >&2
     status=1
-  fi
-
-  # the maintenance speedup divides two same-host hook timings, so it
-  # compares on any host
-  old=$(jget "$base" speedup_adaptive_vs_dj)
-  new=$(jget "$fresh_adaptive" speedup_adaptive_vs_dj)
-  if [ -n "$old" ] && [ -n "$new" ]; then
-    if within "$old" "$new"; then
-      echo "bench_diff: adaptive speedup_adaptive_vs_dj ${old} -> ${new} (ok)"
-    else
-      echo "bench_diff FAIL: adaptive maintenance speedup regressed ${old} -> ${new} (> ${max}%)" >&2
-      status=1
-    fi
   fi
 
   # the arbitration gain sits near zero, where relative comparison is
@@ -315,26 +302,6 @@ if git cat-file -e HEAD:BENCH_adaptive.json 2>/dev/null && [ -f "$fresh_adaptive
       echo "bench_diff FAIL: budget arbitration gain fell ${old} -> ${new} (negative or > 0.03 below baseline)" >&2
       status=1
     fi
-  fi
-
-  # absolute maintenance throughput only compares on the same core count
-  old_cores=$(jget "$base" host_cores)
-  new_cores=$(jget "$fresh_adaptive" host_cores)
-  if [ -n "$old_cores" ] && [ "$old_cores" = "$new_cores" ]; then
-    for key in maint_qps_adaptive maint_qps_dj; do
-      old=$(jget "$base" "$key")
-      new=$(jget "$fresh_adaptive" "$key")
-      if [ -n "$old" ] && [ -n "$new" ]; then
-        if within "$old" "$new"; then
-          echo "bench_diff: adaptive $key ${old} -> ${new} changes/s (ok)"
-        else
-          echo "bench_diff FAIL: adaptive $key regressed ${old} -> ${new} (> ${max}%)" >&2
-          status=1
-        fi
-      fi
-    done
-  else
-    echo "bench_diff: host_cores differ (${old_cores:-?} vs ${new_cores:-?}) - adaptive maint q/s not compared"
   fi
 else
   echo "bench_diff: no committed BENCH_adaptive.json baseline - skipped"
