@@ -104,12 +104,13 @@ let create ~capacity : 'k Policy.t =
   let mem k = Hashtbl.mem st.pos k in
   let reference k =
     st.stats.Cache_stats.references <- st.stats.Cache_stats.references + 1;
-    match Hashtbl.find_opt st.pos k with
-    | Some i ->
+    (* [find], not [find_opt]: a buffer-pool hit allocates no option *)
+    match Hashtbl.find st.pos k with
+    | i ->
         st.slots.(i).refbit <- true;
         st.stats.Cache_stats.hits <- st.stats.Cache_stats.hits + 1;
         `Resident
-    | None ->
+    | exception Not_found ->
         st.stats.Cache_stats.rejections <- st.stats.Cache_stats.rejections + 1;
         `Rejected
   in

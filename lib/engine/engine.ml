@@ -51,6 +51,7 @@ let create ?(name = "engine") ?(fault = Fault.default) ?(registry = Registry.def
   let manager = Pmv.Manager.create ?default_f_max ?default_policy ~registry catalog in
   Pmv.Manager.attach_maintenance manager txn_mgr;
   Minirel_txn.Lock_manager.register_telemetry ~registry (Txn.locks txn_mgr);
+  Txn.register_telemetry ~registry txn_mgr;
   {
     name;
     catalog;

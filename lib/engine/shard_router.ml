@@ -332,14 +332,6 @@ let create_index t ?kind ~rel ~name ~attrs () =
 
 let all_shards t = List.init (Array.length t.shards) Fun.id
 
-(* The partition-key value a predicate pins, if its top-level
-   conjunction fixes it with [=] or a singleton [IN]. *)
-let rec pinned_value key_pos = function
-  | Predicate.Cmp (Predicate.Eq, pos, v) when pos = key_pos -> Some v
-  | Predicate.In_set (pos, [ v ]) when pos = key_pos -> Some v
-  | Predicate.And ps -> List.find_map (pinned_value key_pos) ps
-  | _ -> None
-
 (* Shards a change must run on. *)
 let targets t (change : Txn.change) =
   match change with
@@ -350,7 +342,7 @@ let targets t (change : Txn.change) =
   | Txn.Delete { rel; pred } -> (
       match Hashtbl.find_opt t.parts rel with
       | Some (Hash pos) -> (
-          match pinned_value pos pred with
+          match Predicate.pinned_value pos pred with
           | Some v -> [ shard_of_value t v ]
           | None -> all_shards t)
       | Some Replicated | None -> all_shards t)
@@ -361,7 +353,7 @@ let targets t (change : Txn.change) =
             invalid_arg
               (Printf.sprintf
                  "Shard_router: update may not modify the partition key of %s" rel);
-          (match pinned_value pos pred with
+          (match Predicate.pinned_value pos pred with
           | Some v -> [ shard_of_value t v ]
           | None -> all_shards t)
       | Some Replicated | None -> all_shards t)

@@ -15,7 +15,9 @@ let create ?(n_buckets = 1024) () =
 
 let set_visit_hook t f = t.visit <- f
 
-let bucket_of t key = Minirel_storage.Tuple.hash key mod t.n_buckets
+(* [land max_int]: a wide key's hash can overflow to a negative int,
+   and a bucket is a buffer-pool page number, which must not be. *)
+let bucket_of t key = (Minirel_storage.Tuple.hash key land max_int) mod t.n_buckets
 
 let insert t key rid =
   t.visit (bucket_of t key);

@@ -55,16 +55,26 @@ let answer_distinct ?locks ?txn ?probe_path ~view catalog instance ~on_tuple =
 exception Stop
 
 (* The first [k] result tuples (hot ones first, since O2 streams before
-   execution), terminating the query early once they are in hand. *)
+   execution), terminating the query early once they are in hand.
+   Cached tuples serve only while no delta waits in deferred
+   maintenance, the rule {!cached_witness} follows: a pending delete
+   leaves its tuples in the cache, and stopping early would skip the
+   stale purge that drops them. Otherwise the query executes plainly,
+   stopped at the k-th row. *)
 let answer_first_k ?locks ?txn ~view catalog instance ~k =
   if k <= 0 then invalid_arg "Extensions.answer_first_k: k must be positive";
   let acc = ref [] and n = ref 0 in
+  let take t =
+    acc := t :: !acc;
+    incr n;
+    if !n >= k then raise Stop
+  in
   (try
-     ignore
-       (Answer.answer ?locks ?txn ~view catalog instance ~on_tuple:(fun _ t ->
-            acc := t :: !acc;
-            incr n;
-            if !n >= k then raise Stop))
+     if View.pending_deltas view = [] then
+       ignore (Answer.answer ?locks ?txn ~view catalog instance ~on_tuple:(fun _ t -> take t))
+     else
+       let plan = Minirel_exec.Planner.plan_query catalog instance in
+       Minirel_exec.Cursor.iter take (Minirel_exec.Executor.cursor catalog plan)
    with Stop -> ());
   List.rev !acc
 

@@ -25,7 +25,10 @@ val answer_distinct :
 exception Stop
 
 (** The first [k] result tuples (hot ones first), terminating the query
-    early once they are in hand. @raise Invalid_argument if [k <= 0]. *)
+    early once they are in hand. Cached tuples serve only while no
+    deferred maintenance is pending on the view; otherwise the query
+    executes plainly up to the k-th row.
+    @raise Invalid_argument if [k <= 0]. *)
 val answer_first_k :
   ?locks:Minirel_txn.Lock_manager.t ->
   ?txn:int ->

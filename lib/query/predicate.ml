@@ -15,6 +15,9 @@ type t =
   | Or of t list
   | Not of t
 
+(* Closure-free: evaluation runs once per candidate row, so the
+   conjunction and disjunction walks recurse directly instead of
+   building a partial application per node. *)
 let rec eval p (tuple : Tuple.t) =
   match p with
   | True -> true
@@ -27,11 +30,29 @@ let rec eval p (tuple : Tuple.t) =
       | Le -> c <= 0
       | Gt -> c > 0
       | Ge -> c >= 0)
-  | In_set (pos, vs) -> List.exists (Value.equal tuple.(pos)) vs
+  | In_set (pos, vs) -> mem_value tuple.(pos) vs
   | In_interval (pos, iv) -> Interval.contains iv tuple.(pos)
-  | And ps -> List.for_all (fun p -> eval p tuple) ps
-  | Or ps -> List.exists (fun p -> eval p tuple) ps
+  | And ps -> all_hold ps tuple
+  | Or ps -> any_holds ps tuple
   | Not p -> not (eval p tuple)
+
+and all_hold ps tuple =
+  match ps with [] -> true | p :: rest -> eval p tuple && all_hold rest tuple
+
+and any_holds ps tuple =
+  match ps with [] -> false | p :: rest -> eval p tuple || any_holds rest tuple
+
+and mem_value v = function [] -> false | x :: rest -> Value.equal v x || mem_value v rest
+
+(* The value a predicate pins attribute [pos] to, if its top-level
+   conjunction fixes it with [=] or a singleton [IN]. Shard targeting
+   and index-driven DML both read it, so they agree on what "pinned"
+   means. *)
+let rec pinned_value pos = function
+  | Cmp (Eq, p, v) when p = pos -> Some v
+  | In_set (p, [ v ]) when p = pos -> Some v
+  | And ps -> List.find_map (pinned_value pos) ps
+  | _ -> None
 
 (* Shift every position by [delta]; used when a per-relation predicate is
    applied to a joined tuple where the relation starts at offset delta. *)

@@ -17,6 +17,11 @@ type t =
 
 val eval : t -> Tuple.t -> bool
 
+(** [pinned_value pos p] is [Some v] when [p]'s top-level conjunction
+    fixes attribute [pos] to [v] with [=] or a singleton [IN] (the
+    first such conjunct wins); [None] otherwise. *)
+val pinned_value : int -> t -> Value.t option
+
 (** Shift every position by [delta]; applies a relation-local predicate
     to a joined tuple whose relation starts at offset [delta]. *)
 val shift : int -> t -> t

@@ -7,11 +7,21 @@
    without charging a read (covers appends); a read miss charges one
    read; evicting or flushing a dirty page charges one write. *)
 
-type key = int * int (* file id, page number *)
+(* A page's policy key: file id and page number packed into one
+   immediate int, so touching a page allocates nothing. The page number
+   takes the low [page_bits] bits. *)
+let page_bits = 32
+
+let page_key ~file ~page =
+  if page < 0 || page lsr page_bits <> 0 then
+    invalid_arg "Buffer_pool: page number out of range";
+  (file lsl page_bits) lor page
+
+let file_of_key key = key lsr page_bits
 
 type t = {
-  policy : key Minirel_cache.Policy.t;
-  dirty : (key, unit) Hashtbl.t;
+  policy : int Minirel_cache.Policy.t;
+  dirty : (int, unit) Hashtbl.t;
   stats : Io_stats.t;
   fault : Minirel_fault.Fault.reg;
   mutable next_file_id : int;
@@ -81,26 +91,37 @@ let register_file t =
       t.next_file_id <- id + 1;
       id)
 
+(* One page reference under the pool lock: CLOCK bookkeeping, the
+   read charge on a miss, the dirty mark on a write. *)
+let reference_locked t key mode =
+  (match Minirel_cache.Policy.reference t.policy key with
+  | `Resident -> ()
+  | `Admitted ->
+      (* 2Q ghost promotion: the page was not held, so it is fetched now *)
+      (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ())
+  | `Rejected ->
+      (* miss: fetch (reads only; a write miss models an append) and,
+         for policies that admit on fill, make the page resident *)
+      (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ());
+      if Minirel_cache.Policy.admit_on_fill t.policy then
+        Minirel_cache.Policy.admit t.policy key);
+  match mode with `Write -> Hashtbl.replace t.dirty key () | `Read -> ()
+
+(* Runs per page touch, so it builds no closure: the lock is taken and
+   released inline, and an exception from the policy still unlocks. *)
 let access t ~file ~page ~mode =
   (* The fault probe stays outside the lock: [Injected] must not leave
      the pool mutex held. *)
   (match mode with
   | `Read -> Minirel_fault.Fault.hit_in t.fault "bufferpool.read"
   | `Write -> Minirel_fault.Fault.hit_in t.fault "bufferpool.write");
-  let key = (file, page) in
-  locked t (fun () ->
-      (match Minirel_cache.Policy.reference t.policy key with
-      | `Resident -> ()
-      | `Admitted ->
-          (* 2Q ghost promotion: the page was not held, so it is fetched now *)
-          (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ())
-      | `Rejected ->
-          (* miss: fetch (reads only; a write miss models an append) and,
-             for policies that admit on fill, make the page resident *)
-          (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ());
-          if Minirel_cache.Policy.admit_on_fill t.policy then
-            Minirel_cache.Policy.admit t.policy key);
-      match mode with `Write -> Hashtbl.replace t.dirty key () | `Read -> ())
+  let key = page_key ~file ~page in
+  Mutex.lock t.lock;
+  match reference_locked t key mode with
+  | () -> Mutex.unlock t.lock
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
 let flush t =
   locked t (fun () ->
@@ -112,8 +133,8 @@ let flush t =
 let invalidate_file t ~file =
   locked t (fun () ->
       let doomed = ref [] in
-      Minirel_cache.Policy.iter t.policy (fun ((f, _) as key) ->
-          if f = file then doomed := key :: !doomed);
+      Minirel_cache.Policy.iter t.policy (fun key ->
+          if file_of_key key = file then doomed := key :: !doomed);
       List.iter
         (fun key ->
           Minirel_cache.Policy.remove t.policy key;

@@ -31,7 +31,9 @@ val resident : t -> int
 val register_file : t -> int
 
 (** Record one page access, charging I/O on a miss and marking the page
-    dirty on writes. *)
+    dirty on writes. Allocates nothing.
+    @raise Invalid_argument when [page] is negative or needs more than
+    32 bits. *)
 val access : t -> file:int -> page:int -> mode:[ `Read | `Write ] -> unit
 
 (** Write back every dirty page (one write charge each). *)

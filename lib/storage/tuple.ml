@@ -13,17 +13,16 @@ let of_list = Array.of_list
 let equal (a : t) (b : t) =
   Array.length a = Array.length b && Array.for_all2 Value.equal a b
 
-let compare (a : t) (b : t) =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* Lexicographic from position [i]; a top-level loop rather than a
+   local closure, since B-tree descents and sorts call it per key. *)
+let rec compare_from (a : t) (b : t) i =
+  if i >= Array.length a then if i >= Array.length b then 0 else -1
+  else if i >= Array.length b then 1
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare (a : t) (b : t) = compare_from a b 0
 
 let hash (t : t) =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t

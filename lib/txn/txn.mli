@@ -31,6 +31,13 @@ val locks : t -> Lock_manager.t
 (** The fault scope this manager was created with. *)
 val fault : t -> Minirel_fault.Fault.reg
 
+(** Register this manager as telemetry source ["txn"]:
+    [index_matches] and [scan_matches] count how each Delete/Update
+    found its rows — through a single-attribute index whose key its
+    predicate pins ({!Minirel_query.Predicate.pinned_value}), or by
+    scanning the heap. *)
+val register_telemetry : registry:Minirel_telemetry.Registry.t -> t -> unit
+
 (** Hooks run once per change, after it is applied. *)
 val register_hook : t -> name:string -> (delta -> unit) -> unit
 

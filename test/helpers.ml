@@ -14,6 +14,21 @@ let tuples =
 let same_multiset a b =
   List.equal Tuple.equal (List.sort Tuple.compare a) (List.sort Tuple.compare b)
 
+(* Values of every type from small domains, so equal values and shared
+   prefixes are common. *)
+let gen_value =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Value.Null;
+        map (fun i -> Value.Int i) (int_range (-2) 2);
+        map (fun f -> Value.Float f) (oneofl [ -1.5; 0.0; 2.5; Float.nan ]);
+        map (fun s -> Value.Str s) (oneofl [ ""; "a"; "ab"; "b" ]);
+      ])
+
+let gen_tuple ?(arity = QCheck2.Gen.int_range 0 5) () =
+  QCheck2.Gen.(map Array.of_list (list_size arity gen_value))
+
 let fresh_catalog ?(pool_pages = 10_000) () =
   let pool = Buffer_pool.create ~capacity:pool_pages () in
   Catalog.create pool

@@ -61,6 +61,69 @@ let test_invalidate_file () =
   Buffer_pool.access pool ~file:f2 ~page:0 ~mode:`Read;
   check Alcotest.int "f2 still cached" r stats.Io_stats.reads
 
+(* Three files, page numbers far above 2^20 (one above 2^31), a
+   4-page CLOCK pool. Every count below is worked out by hand from the
+   CLOCK rules: a hit sets the page's reference bit; a miss takes a free
+   slot, else sweeps the hand, clearing set bits, and evicts the first
+   page whose bit is clear. *)
+let test_packed_keys_clock_by_hand () =
+  let pool = Buffer_pool.create ~capacity:4 () in
+  let f1 = Buffer_pool.register_file pool in
+  let f2 = Buffer_pool.register_file pool in
+  let f3 = Buffer_pool.register_file pool in
+  let stats = Buffer_pool.stats pool in
+  let evictions () = (Buffer_pool.policy_stats pool).Minirel_cache.Cache_stats.evictions in
+  let p = (1 lsl 20) + 3 and q = (1 lsl 31) + 9 and r = 1 lsl 20 in
+  let rd file page = Buffer_pool.access pool ~file ~page ~mode:`Read in
+  let wr file page = Buffer_pool.access pool ~file ~page ~mode:`Write in
+  let counts what reads writes evicted =
+    check
+      Alcotest.(triple int int int)
+      what (reads, writes, evicted)
+      (stats.Io_stats.reads, stats.Io_stats.writes, evictions ())
+  in
+  (* fill the four slots: the same page number in three files is three pages *)
+  rd f1 p;
+  wr f2 p;
+  rd f3 p;
+  rd f1 q;
+  counts "fill: three read misses, the write miss is an append" 3 0 0;
+  rd f1 p;
+  wr f3 p;
+  counts "hits charge nothing" 3 0 0;
+  (* every bit is set: the hand clears all four and evicts slot 0, f1:p *)
+  rd f2 q;
+  counts "clean victim" 4 0 1;
+  (* the hand is at slot 1, f2:p, whose bit is clear: a dirty victim *)
+  rd f3 q;
+  counts "dirty victim written back" 5 1 2;
+  Buffer_pool.flush pool;
+  counts "flush writes the one dirty page left, f3:p" 5 2 2;
+  Buffer_pool.invalidate_file pool ~file:f3;
+  check Alcotest.int "f3's two pages dropped" 2 (Buffer_pool.resident pool);
+  rd f2 q;
+  rd f1 q;
+  counts "f1 and f2 stay resident" 5 2 2;
+  rd f3 q;
+  rd f3 p;
+  counts "f3's pages read again" 7 2 2;
+  (* all four bits set again: a full sweep evicts slot 2, an f3 page
+     either way, and clean either way *)
+  wr f1 p;
+  counts "write miss evicts without a read" 7 2 3;
+  (* hand at slot 3, f1:q, bit clear; then slot 0, f2:q; then slot 1 *)
+  rd f2 p;
+  rd f3 r;
+  rd f1 q;
+  counts "three clean victims in hand order" 10 2 6;
+  (* the hand clears four set bits and comes back to slot 2: the dirty f1:p *)
+  rd f2 q;
+  counts "dirty victim after a full sweep" 11 3 7;
+  Buffer_pool.flush pool;
+  counts "nothing left to flush" 11 3 7;
+  check Alcotest.bool "page numbers past 32 bits are refused" true
+    (match rd f1 (1 lsl 32) with () -> false | exception Invalid_argument _ -> true)
+
 let test_io_stats_diff () =
   let s = Io_stats.create () in
   Io_stats.add_read s;
@@ -81,4 +144,6 @@ let suite =
     Alcotest.test_case "distinct files" `Quick test_distinct_files;
     Alcotest.test_case "invalidate file" `Quick test_invalidate_file;
     Alcotest.test_case "io stats diff" `Quick test_io_stats_diff;
+    Alcotest.test_case "packed keys: clock counts by hand" `Quick
+      test_packed_keys_clock_by_hand;
   ]

@@ -19,7 +19,20 @@ let test_hash_index () =
   check Alcotest.bool "delete gone" false (Hash_index.delete h (k 1) (rid 1));
   check Alcotest.int "after delete" 1 (List.length (Hash_index.find h (k 1)));
   check (Alcotest.list Alcotest.int) "missing" []
-    (List.map (fun (r : Rid.t) -> r.Rid.page) (Hash_index.find h (k 42)))
+    (List.map (fun (r : Rid.t) -> r.Rid.page) (Hash_index.find h (k 42)));
+  (* a 12-attribute key whose hash overflows to a negative int still
+     charges a valid bucket page *)
+  let pool = Buffer_pool.create ~capacity:4 () in
+  let file = Buffer_pool.register_file pool in
+  let wide = Hash_index.create () in
+  Hash_index.set_visit_hook wide (fun page -> Buffer_pool.access pool ~file ~page ~mode:`Read);
+  let rec negative i =
+    let key = Array.make 12 (Value.Int i) in
+    if Tuple.hash key < 0 then key else negative (i + 1)
+  in
+  let key = negative 0 in
+  Hash_index.insert wide key (rid 7);
+  check Alcotest.int "wide key found" 1 (List.length (Hash_index.find wide key))
 
 let test_catalog_basics () =
   let catalog = Helpers.fresh_catalog () in

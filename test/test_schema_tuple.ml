@@ -70,6 +70,34 @@ let prop_project_concat =
       in
       Tuple.equal left a && Tuple.equal right b)
 
+(* The closure-based definition [Tuple.compare] replaced, kept as the
+   reference the closure-free loop must agree with. *)
+let reference_compare (a : Tuple.t) (b : Tuple.t) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i >= la && i >= lb then 0
+    else if i >= la then -1
+    else if i >= lb then 1
+    else
+      let c = Value.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* Mixed-type tuples of unequal length; half the pairs share a prefix. *)
+let prop_compare_matches_reference =
+  QCheck2.Test.make ~name:"tuple compare == closure-based reference" ~count:1000
+    ~print:(fun (a, b) -> Fmt.str "%a vs %a" Tuple.pp a Tuple.pp b)
+    QCheck2.Gen.(
+      oneof
+        [
+          pair (Helpers.gen_tuple ()) (Helpers.gen_tuple ());
+          map3
+            (fun a k extra -> (a, Array.append (Array.sub a 0 (min k (Array.length a))) extra))
+            (Helpers.gen_tuple ()) (int_range 0 5) (Helpers.gen_tuple ());
+        ])
+    (fun (a, b) -> Tuple.compare a b = reference_compare a b)
+
 let suite =
   [
     Alcotest.test_case "schema create/pos" `Quick test_schema_create;
@@ -78,4 +106,5 @@ let suite =
     Alcotest.test_case "tuple compare/hash" `Quick test_tuple_compare;
     Alcotest.test_case "tuple hash table" `Quick test_tuple_table;
     QCheck_alcotest.to_alcotest prop_project_concat;
+    QCheck_alcotest.to_alcotest prop_compare_matches_reference;
   ]

@@ -295,10 +295,11 @@ let test_sharded_torture_smoke () =
   check Alcotest.bool "queries oracle-checked" true (o.Torture.queries > 0);
   check Alcotest.bool "txns committed" true (o.Torture.txns > 0)
 
-(* EXISTS while every shard's maintenance is deferred: the views still
-   cache tuples a broadcast delete removed from the base data, so no
-   shard may answer from them — neither as a cached witness nor as the
-   first tuple of an early-stopped answer — on either read path. *)
+(* EXISTS and LIMIT k while every shard's maintenance is deferred: the
+   views still cache tuples a broadcast delete removed from the base
+   data, so no shard may answer from them — neither as a cached witness
+   nor as the first tuple of an early-stopped answer — on either read
+   path, through the router or on one engine. *)
 let test_exists_under_pending_delete () =
   let module Fault = Minirel_fault.Fault in
   let reference, router, compiled = make ~shards:3 () in
@@ -333,7 +334,16 @@ let test_exists_under_pending_delete () =
           check Alcotest.bool
             (Fmt.str "%s exists" (Pmv.Answer.probe_path_to_string path))
             false got)
-        [ Pmv.Answer.Locked; Pmv.Answer.Epoch ])
+        [ Pmv.Answer.Locked; Pmv.Answer.Epoch ];
+      let truth = Check.ground_truth reference q in
+      check Helpers.tuples "router first-k" truth (Router.answer_first_k router q ~k:1);
+      let e0 = List.hd (Router.shards router) in
+      let view0 =
+        Option.get (Engine.find_view e0 ~template:compiled.Template.spec.Template.name)
+      in
+      check Helpers.tuples "engine first-k on shard 0" truth
+        (Pmv.Extensions.answer_first_k ~locks:(Engine.locks e0) ~view:view0
+           (Engine.catalog e0) q ~k:1))
 
 let suite =
   [

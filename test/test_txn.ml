@@ -210,6 +210,186 @@ let test_txn_partial_lock_failure_releases () =
   check Alcotest.int "insert not applied" 0 (List.length r900);
   Lock.release_all lm ~txn:77
 
+(* --- index-driven change matching --- *)
+
+module Registry = Minirel_telemetry.Registry
+module Index = Minirel_index.Index
+
+let counter snap name =
+  match Registry.find snap name with Some (Registry.Counter n) -> n | _ -> -1
+
+(* What a heap scan of the current state selects, in heap order. *)
+let scan_select catalog ~rel pred =
+  List.rev
+    (Heap_file.fold (Catalog.heap catalog rel)
+       (fun acc _ t -> if Predicate.eval pred t then t :: acc else acc)
+       [])
+
+(* Predicates over r (rkey, c, f, payload), where c and f carry
+   single-attribute indexes, paired with whether the top-level
+   conjunction pins one of those keys. *)
+let gen_r_pred =
+  let open QCheck2.Gen in
+  let key = oneofl [ 1; 2 ] in
+  let v = map vi (int_range (-1) 41) in
+  let rkey = map vi (int_range 0 260) in
+  let pin =
+    oneof
+      [
+        map2 (fun p v -> Predicate.Cmp (Predicate.Eq, p, v)) key v;
+        map2 (fun p v -> Predicate.In_set (p, [ v ])) key v;
+      ]
+  in
+  let unpinned =
+    oneof
+      [
+        map (fun v -> Predicate.Cmp (Predicate.Lt, 0, v)) rkey;
+        map (fun v -> Predicate.Cmp (Predicate.Eq, 0, v)) rkey (* unindexed *);
+        map2 (fun p v -> Predicate.Cmp (Predicate.Ne, p, v)) key v;
+        map3 (fun p a b -> Predicate.In_set (p, [ a; b ])) key v v;
+        map2
+          (fun a b ->
+            Predicate.Or [ Predicate.Cmp (Predicate.Eq, 1, a); Predicate.Cmp (Predicate.Eq, 2, b) ])
+          v v;
+        map2 (fun p v -> Predicate.Not (Predicate.Cmp (Predicate.Eq, p, v))) key v;
+      ]
+  in
+  let insert_at i x l = List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l) in
+  oneof
+    [
+      map (fun p -> (p, true)) pin;
+      map (fun p -> (p, false)) unpinned;
+      map3
+        (fun p rest i -> (Predicate.And (insert_at (i mod (List.length rest + 1)) p rest), true))
+        pin (list_size (int_range 1 2) unpinned) nat;
+      map (fun ps -> (Predicate.And ps, false)) (list_size (int_range 1 2) unpinned);
+    ]
+
+(* Deletes and updates (some moving c or f) with a few inserts, so
+   freed slots are reused and rid order drifts from insertion order. *)
+let gen_r_change =
+  let open QCheck2.Gen in
+  let set =
+    oneof
+      [
+        map (fun c -> [ (1, vi c) ]) (int_range 0 39);
+        map (fun f -> [ (2, vi f) ]) (int_range 0 9);
+        map2 (fun c f -> [ (1, vi c); (2, vi f) ]) (int_range 0 39) (int_range 0 9);
+        return [ (3, Value.Str "moved") ];
+      ]
+  in
+  frequency
+    [
+      (3, map (fun (pred, pins) -> (Txn.Delete { rel = "r"; pred }, pins)) gen_r_pred);
+      (4, map2 (fun (pred, pins) set -> (Txn.Update { rel = "r"; pred; set }, pins)) gen_r_pred set);
+      ( 1,
+        map3
+          (fun k c f ->
+            (Txn.Insert { rel = "r"; tuple = [| vi k; vi c; vi f; Value.Str "new" |] }, false))
+          (int_range 1000 9999) (int_range 0 39) (int_range 0 9) );
+    ]
+
+let pp_change ppf = function
+  | Txn.Insert { tuple; _ } -> Fmt.pf ppf "insert %a" Tuple.pp tuple
+  | Txn.Delete { pred; _ } -> Fmt.pf ppf "delete where %a" Predicate.pp pred
+  | Txn.Update { pred; set; _ } ->
+      Fmt.pf ppf "update %a where %a"
+        Fmt.(list ~sep:comma (pair ~sep:(any "=") int Value.pp))
+        set Predicate.pp pred
+
+(* Every Delete/Update delta equals, tuple for tuple and in order, what
+   a heap scan of the pre-change state selects; the catalog stays
+   consistent; and the counters say which path found the rows. *)
+let prop_index_matches_scan kind =
+  let kind_name = match kind with Index.Btree_kind -> "b-tree" | Index.Hash_kind -> "hash" in
+  QCheck2.Test.make ~count:60
+    ~name:(Fmt.str "index-driven changes == heap scan (%s)" kind_name)
+    ~print:(fun chs -> Fmt.str "%a" Fmt.(list ~sep:semi pp_change) (List.map fst chs))
+    QCheck2.Gen.(list_size (int_range 1 12) gen_r_change)
+    (fun changes ->
+      let catalog = Helpers.fresh_catalog () in
+      Helpers.build_rs catalog;
+      if kind = Index.Hash_kind then
+        List.iter
+          (fun (name, attr) ->
+            Catalog.drop_index catalog ~rel:"r" ~name;
+            ignore (Catalog.create_index catalog ~kind ~rel:"r" ~name ~attrs:[ attr ] ()))
+          [ ("r_f", "f"); ("r_c", "c") ];
+      let txn = Txn.create catalog in
+      let registry = Registry.create () in
+      Txn.register_telemetry ~registry txn;
+      let counts () =
+        let snap = Registry.snapshot registry in
+        (counter snap "txn.index_matches", counter snap "txn.scan_matches")
+      in
+      List.for_all
+        (fun (change, pins) ->
+          let ix0, scan0 = counts () in
+          let expected_deleted, expected_updated =
+            match change with
+            | Txn.Delete { rel; pred } -> (scan_select catalog ~rel pred, [])
+            | Txn.Update { rel; pred; set } ->
+                ( [],
+                  List.map
+                    (fun old ->
+                      let fresh = Array.copy old in
+                      List.iter (fun (pos, v) -> fresh.(pos) <- v) set;
+                      (old, fresh))
+                    (scan_select catalog ~rel pred) )
+            | Txn.Insert _ -> ([], [])
+          in
+          let delta =
+            match Txn.run txn [ change ] with [ d ] -> d | _ -> Alcotest.fail "one delta"
+          in
+          Catalog.validate catalog;
+          let ix1, scan1 = counts () in
+          let path_ok =
+            match change with
+            | Txn.Insert _ -> ix1 = ix0 && scan1 = scan0
+            | Txn.Delete _ | Txn.Update _ ->
+                if pins then ix1 = ix0 + 1 && scan1 = scan0 else ix1 = ix0 && scan1 = scan0 + 1
+          in
+          path_ok
+          && List.equal Tuple.equal expected_deleted delta.Txn.deleted
+          && List.equal
+               (fun (a, b) (c, d) -> Tuple.equal a c && Tuple.equal b d)
+               expected_updated delta.Txn.updated)
+        changes)
+
+(* TPC-R changes pinned on orderkey find their rows through the
+   orderkey indexes; an OR of two orderkeys pins nothing and scans. The
+   counters are the engine's, registered next to the lock manager's. *)
+let test_tpcr_changes_use_the_index () =
+  let module Engine = Minirel_engine.Engine in
+  let e = Engine.scoped () in
+  ignore
+    (Minirel_workload.Tpcr.generate (Engine.catalog e)
+       (Minirel_workload.Tpcr.params_for_scale ~pad:false 0.002));
+  let counts () =
+    let snap = Engine.snapshot e in
+    (counter snap "txn.index_matches", counter snap "txn.scan_matches")
+  in
+  let ok k = Predicate.Cmp (Predicate.Eq, 0, vi k) in
+  let deltas =
+    Engine.run e
+      [
+        Txn.Delete
+          { rel = "lineitem"; pred = Predicate.And [ ok 5; Predicate.Cmp (Predicate.Eq, 2, vi 2) ] };
+        Txn.Update { rel = "orders"; pred = ok 7; set = [ (2, vi 3) ] };
+      ]
+  in
+  check Alcotest.(list int) "one row each"
+    [ 1; 1 ]
+    (List.map (fun d -> List.length d.Txn.deleted + List.length d.Txn.updated) deltas);
+  check Alcotest.(pair int int) "pinned on orderkey: index" (2, 0) (counts ());
+  let deltas =
+    Engine.run e
+      [ Txn.Update { rel = "lineitem"; pred = Predicate.Or [ ok 3; ok 4 ]; set = [ (3, vi 9) ] } ]
+  in
+  check Alcotest.int "eight lineitems" 8 (List.length (List.hd deltas).Txn.updated);
+  check Alcotest.(pair int int) "or: scan" (2, 1) (counts ());
+  Catalog.validate (Engine.catalog e)
+
 let suite =
   [
     Alcotest.test_case "S locks share" `Quick test_s_locks_share;
@@ -225,4 +405,8 @@ let suite =
     Alcotest.test_case "update txn" `Quick test_txn_update;
     Alcotest.test_case "hooks invoked" `Quick test_hooks_invoked;
     Alcotest.test_case "locks released" `Quick test_txn_locks_released;
+    QCheck_alcotest.to_alcotest (prop_index_matches_scan Index.Btree_kind);
+    QCheck_alcotest.to_alcotest (prop_index_matches_scan Index.Hash_kind);
+    Alcotest.test_case "tpc-r changes pinned on orderkey use the index" `Quick
+      test_tpcr_changes_use_the_index;
   ]

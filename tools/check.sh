@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repo health gate: build, tier-1 tests, torture smokes (single-engine,
-# sharded, parallel sharded with digest reproducibility, and the epoch
-# probe path), a flight-recorder smoke, telemetry and observability
+# Repo health gate: build, tier-1 tests, torture smokes (single-engine
+# on both probe paths, sharded, parallel sharded with digest
+# reproducibility, and the sharded epoch probe path), each with its
+# digest pinned, a flight-recorder smoke, telemetry and observability
 # overhead, shard scaling, probe-bound serving, work-stealing Domain-pool
 # parallelism (core-aware: speedups where the cores exist, scheduler
 # overhead vs the committed baseline on 1-core hosts), budget
@@ -19,6 +20,19 @@ cd "$(dirname "$0")/.."
 skip_bench="${SKIP_BENCH:-0}"
 [ "${1:-}" = "--skip-bench" ] && skip_bench=1
 max_pct="${MAX_REGRESSION_PCT:-5}"
+
+# Pinned torture digests. Each campaign below is deterministic, so a
+# digest that moves means behaviour moved: a change that claims to be a
+# pure speedup must leave every pin as it is. A change that moves a
+# digest on purpose updates the pin and says why in CHANGES.md.
+pin_digest() { # campaign-name campaign-output pinned-digest
+  got=$(echo "$2" | tr ' ' '\n' | awk -F= '/^digest=/ { print $2; exit }')
+  if [ "$got" != "$3" ]; then
+    echo "FAIL: $1 digest ${got:-none} differs from the pinned $3" >&2
+    exit 1
+  fi
+  echo "$1 digest matches its pin: $got"
+}
 
 echo "== dune build"
 dune build
@@ -41,6 +55,16 @@ echo "$torture_out" | tr ' ' '\n' |
   echo "FAIL: torture smoke injected too few fault classes" >&2
   exit 1
 }
+pin_digest "torture" "$torture_out" 2ef8752b1ddf5e4c
+
+echo "== epoch-path torture smoke (single engine, lock-free probe reads)"
+sepoch_out=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 400 --probe-path epoch) || {
+  echo "$sepoch_out"
+  echo "FAIL: epoch-path torture campaign reported oracle violations" >&2
+  exit 1
+}
+echo "$sepoch_out"
+pin_digest "epoch-path torture" "$sepoch_out" 3b247ca1adfa2fe3
 
 echo "== sharded torture smoke (4 hash-partitioned engines, merged oracle must stay silent)"
 shard_out=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 4) || {
@@ -56,6 +80,7 @@ echo "$shard_out" | tr ' ' '\n' |
   echo "FAIL: sharded torture smoke injected too few fault classes" >&2
   exit 1
 }
+pin_digest "sharded torture" "$shard_out" c4b4cbe8a4673ff0
 
 echo "== work-stealing torture smoke (4 shards x 4 domains, digest reproducible under stealing)"
 par_out=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 4 --domains 4) || {
@@ -68,25 +93,22 @@ par_out2=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 4
   echo "FAIL: parallel sharded torture rerun reported oracle violations" >&2
   exit 1
 }
-digest1=$(echo "$par_out" | tr ' ' '\n' | awk -F= '/^digest=/ { print $2; exit }')
-digest2=$(echo "$par_out2" | tr ' ' '\n' | awk -F= '/^digest=/ { print $2; exit }')
-if [ -z "$digest1" ] || [ "$digest1" != "$digest2" ]; then
-  echo "FAIL: parallel torture digest not reproducible (${digest1:-none} vs ${digest2:-none})" >&2
-  exit 1
-fi
-echo "digest reproducible across runs: $digest1"
+# both runs matching the pin means the digest is reproducible under stealing
+pin_digest "work-stealing torture" "$par_out" 9f3b2a998c0e2c35
+pin_digest "work-stealing torture (rerun)" "$par_out2" 9f3b2a998c0e2c35
 
 echo "== epoch-path torture cross-check (same seed, lock-free probe reads)"
 # same campaign as the sharded smoke but answering through the epoch
 # fast path; the oracle must stay just as silent. Digests legitimately
-# differ across probe paths (cache admission order changes), so only
-# the verdict is gated.
+# differ across probe paths (cache admission order changes), so each
+# path has its own pin.
 epoch_out=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 4 --probe-path epoch) || {
   echo "$epoch_out"
   echo "FAIL: epoch-path torture campaign reported oracle violations" >&2
   exit 1
 }
 echo "$epoch_out"
+pin_digest "sharded epoch-path torture" "$epoch_out" b0d0002e96c90826
 
 echo "== query-shape smoke (each Section 3.6 shape oracle-clean at 1 and 4 shards, both probe paths)"
 # the shapes suite runs the per-shape differential properties —
