@@ -19,7 +19,7 @@ let reset t =
   t.evictions <- 0
 
 (* Stable name/value pairs for telemetry registration; the same names
-   appear under every policy-backed source (buffer pool, PMV store). *)
+   appear under every source that counts with them (buffer pool, PMV store). *)
 let to_list t =
   [
     ("references", t.references);

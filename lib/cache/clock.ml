@@ -104,7 +104,7 @@ let create ~capacity : 'k Policy.t =
   let mem k = Hashtbl.mem st.pos k in
   let reference k =
     st.stats.Cache_stats.references <- st.stats.Cache_stats.references + 1;
-    (* [find], not [find_opt]: a buffer-pool hit allocates no option *)
+    (* [find], not [find_opt]: a hit allocates no option *)
     match Hashtbl.find st.pos k with
     | i ->
         st.slots.(i).refbit <- true;

@@ -1,7 +1,7 @@
 (** Uniform interface over replacement policies (CLOCK, 2Q, LRU, FIFO).
 
     A policy manages a bounded set of {e resident} keys. Residency is
-    what entitles the owner (buffer pool, PMV entry store) to hold data
+    what entitles the owner (the PMV entry store, the simulator) to hold data
     for the key. Two operations mutate the recency state:
 
     [reference k] records one access without forcing residency:

@@ -37,15 +37,13 @@ type t = {
 }
 
 let create ?(name = "engine") ?(fault = Fault.default) ?(registry = Registry.default)
-    ?(tracer = Tracer.default) ?(pool_capacity = 4_000) ?pool_policy ?default_f_max
-    ?default_policy ?catalog () =
+    ?(tracer = Tracer.default) ?(pool_capacity = 4_000) ?default_f_max ?default_policy
+    ?catalog () =
   let catalog =
     match catalog with
     | Some c -> c
     | None ->
-        Catalog.create
-          (Minirel_storage.Buffer_pool.create ?policy:pool_policy ~fault
-             ~capacity:pool_capacity ())
+        Catalog.create (Minirel_storage.Buffer_pool.create ~fault ~capacity:pool_capacity ())
   in
   let txn_mgr = Txn.create ~fault catalog in
   let manager = Pmv.Manager.create ?default_f_max ?default_policy ~registry catalog in
@@ -69,10 +67,9 @@ let create ?(name = "engine") ?(fault = Fault.default) ?(registry = Registry.def
 (* An engine with fresh, private fault and telemetry scopes: nothing it
    does is visible in the process-global registries, and nothing armed
    or recorded globally reaches it. *)
-let scoped ?name ?pool_capacity ?pool_policy ?default_f_max ?default_policy ?catalog () =
+let scoped ?name ?pool_capacity ?default_f_max ?default_policy ?catalog () =
   create ?name ~fault:(Fault.create ()) ~registry:(Registry.create ())
-    ~tracer:(Tracer.create ()) ?pool_capacity ?pool_policy ?default_f_max ?default_policy
-    ?catalog ()
+    ~tracer:(Tracer.create ()) ?pool_capacity ?default_f_max ?default_policy ?catalog ()
 
 let name t = t.name
 let catalog t = t.catalog

@@ -14,8 +14,8 @@ type t
 
 (** Build an engine. With [catalog], adopt an existing catalog (note:
     its buffer pool keeps the fault scope it was created with);
-    otherwise create a fresh pool ([pool_capacity], default 4000 pages;
-    [pool_policy]) and an empty catalog in [fault]'s scope. [registry]
+    otherwise create a fresh CLOCK buffer pool ([pool_capacity], default
+    4000 pages) and an empty catalog in [fault]'s scope. [registry]
     receives every component's telemetry source; [fault] scopes the
     lock manager, WAL and maintenance failpoints. Defaults are the
     process-global scopes. *)
@@ -25,7 +25,6 @@ val create :
   ?registry:Minirel_telemetry.Registry.t ->
   ?tracer:Minirel_telemetry.Tracer.t ->
   ?pool_capacity:int ->
-  ?pool_policy:Minirel_cache.Policies.kind ->
   ?default_f_max:int ->
   ?default_policy:Minirel_cache.Policies.kind ->
   ?catalog:Minirel_index.Catalog.t ->
@@ -38,7 +37,6 @@ val create :
 val scoped :
   ?name:string ->
   ?pool_capacity:int ->
-  ?pool_policy:Minirel_cache.Policies.kind ->
   ?default_f_max:int ->
   ?default_policy:Minirel_cache.Policies.kind ->
   ?catalog:Minirel_index.Catalog.t ->

@@ -78,48 +78,24 @@ let label = function
   | Plan.Aggregate _ -> "aggregate"
 
 (* Executor telemetry: cursors opened and tuples produced at plan
-   roots. The executor itself is stateless, so the counters are keyed
-   by catalog (physical identity) — each engine's registry reports only
-   the queries run against that engine's catalog, and resetting one
-   scope leaves the others alone. *)
-type telemetry_counters = { cursors : int Atomic.t; root_tuples : int Atomic.t }
-
-let telemetry_by_catalog :
-    (Minirel_index.Catalog.t * telemetry_counters) list ref =
-  ref []
-
-(* Guards the list above; morsel tasks on the pool open cursors
-   concurrently. The counters themselves are atomic, so only the
-   get-or-create lookup needs the lock. *)
-let telemetry_lock = Mutex.create ()
-
-let telemetry_for catalog =
-  Mutex.lock telemetry_lock;
-  let t =
-    match
-      List.find_opt (fun (c, _) -> c == catalog) !telemetry_by_catalog
-    with
-    | Some (_, t) -> t
-    | None ->
-        let t = { cursors = Atomic.make 0; root_tuples = Atomic.make 0 } in
-        telemetry_by_catalog := (catalog, t) :: !telemetry_by_catalog;
-        t
-  in
-  Mutex.unlock telemetry_lock;
-  t
-
+   roots. The executor itself is stateless, so the counters live in the
+   catalog they count: each engine's registry reports only the queries
+   run against that engine's catalog, resetting one scope leaves the
+   others alone, and nothing global keeps a dropped engine's catalog
+   alive. The counters are atomic: morsel tasks on the pool open
+   cursors concurrently. *)
 let register_telemetry ?(registry = Minirel_telemetry.Registry.default)
     ?(name = "exec") catalog =
   let module R = Minirel_telemetry.Registry in
-  let t = telemetry_for catalog in
+  let cursors = Catalog.cursors catalog and root_tuples = Catalog.root_tuples catalog in
   R.register_source registry ~name
     ~reset:(fun () ->
-      Atomic.set t.cursors 0;
-      Atomic.set t.root_tuples 0)
+      Atomic.set cursors 0;
+      Atomic.set root_tuples 0)
     (fun () ->
       [
-        ("cursors", R.Counter (Atomic.get t.cursors));
-        ("root_tuples", R.Counter (Atomic.get t.root_tuples));
+        ("cursors", R.Counter (Atomic.get cursors));
+        ("root_tuples", R.Counter (Atomic.get root_tuples));
       ])
 
 (* --- morsel-driven parallel scans ---
@@ -288,8 +264,8 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
         | rid :: rest -> (
             pending := rest;
             match Heap_file.fetch heap rid with
-            | Some t when Predicate.eval pred t -> Some t
-            | Some _ | None -> next ())
+            | t when Predicate.eval pred t -> Some t
+            | _ | (exception Not_found) -> next ())
         | [] -> (
             match !remaining with
             | [] -> None
@@ -309,8 +285,8 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
         | rid :: rest -> (
             pending := rest;
             match Heap_file.fetch heap rid with
-            | Some t when Predicate.eval pred t -> Some t
-            | Some _ | None -> next ())
+            | t when Predicate.eval pred t -> Some t
+            | _ | (exception Not_found) -> next ())
         | [] -> (
             match !remaining with
             | [] -> None
@@ -333,9 +309,8 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
         | rid :: rest -> (
             pending := rest;
             match Heap_file.fetch heap rid with
-            | Some inner_t when Predicate.eval pred inner_t ->
-                Some (Tuple.concat !current inner_t)
-            | Some _ | None -> next ())
+            | inner_t when Predicate.eval pred inner_t -> Some (Tuple.concat !current inner_t)
+            | _ | (exception Not_found) -> next ())
         | [] -> (
             match out () with
             | None -> None
@@ -509,12 +484,12 @@ let cursor ?par ?profile catalog plan =
   let c = op_cursor ?par ?profile catalog plan in
   if not (Minirel_telemetry.Telemetry.is_enabled ()) then c
   else begin
-    let t = telemetry_for catalog in
-    ignore (Atomic.fetch_and_add t.cursors 1);
+    let root_tuples = Catalog.root_tuples catalog in
+    Atomic.incr (Catalog.cursors catalog);
     fun () ->
       match c () with
       | Some _ as r ->
-          ignore (Atomic.fetch_and_add t.root_tuples 1);
+          Atomic.incr root_tuples;
           r
       | None -> None
   end

@@ -39,8 +39,9 @@ val count :
 
 (** Register the catalog's executor counters (root cursors opened,
     tuples produced at plan roots against that catalog) as telemetry
-    source [name] (default ["exec"]). Counters are kept per catalog, so
-    scoped engines report and reset independently. *)
+    source [name] (default ["exec"]). The counters live in the catalog
+    ({!Minirel_index.Catalog.cursors}), so scoped engines report and
+    reset independently and nothing global holds a catalog. *)
 val register_telemetry :
   ?registry:Minirel_telemetry.Registry.t ->
   ?name:string ->

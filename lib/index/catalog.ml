@@ -12,12 +12,25 @@ type t = {
   pool : Minirel_storage.Buffer_pool.t;
   rels : (string, rel) Hashtbl.t;
   mutable version : int;  (* bumped on index DDL; plan caches validate against it *)
+  (* The executor's counters for queries against this catalog. The
+     executor is stateless, so they live with what they count. *)
+  cursors : int Atomic.t;
+  root_tuples : int Atomic.t;
 }
 
-let create pool = { pool; rels = Hashtbl.create 16; version = 0 }
+let create pool =
+  {
+    pool;
+    rels = Hashtbl.create 16;
+    version = 0;
+    cursors = Atomic.make 0;
+    root_tuples = Atomic.make 0;
+  }
 
 let pool t = t.pool
 let version t = t.version
+let cursors t = t.cursors
+let root_tuples t = t.root_tuples
 
 let create_relation t ?slots_per_page schema =
   let name = schema.Minirel_storage.Schema.name in
@@ -162,11 +175,7 @@ let validate t =
 (* Returns the old tuple. @raise Not_found if [rid] is empty. *)
 let update t ~rel rid tuple =
   let r = find_rel t rel in
-  let old =
-    match Minirel_storage.Heap_file.fetch r.heap rid with
-    | Some old -> old
-    | None -> raise Not_found
-  in
+  let old = Minirel_storage.Heap_file.fetch r.heap rid in
   Minirel_storage.Heap_file.update r.heap rid tuple;
   List.iter
     (fun ix ->

@@ -14,6 +14,13 @@ val pool : t -> Minirel_storage.Buffer_pool.t
     design. *)
 val version : t -> int
 
+(** The executor's counters for this catalog: root cursors opened and
+    tuples produced at plan roots. They live with the catalog they
+    count, so no process-global table keeps a dropped catalog alive. *)
+val cursors : t -> int Atomic.t
+
+val root_tuples : t -> int Atomic.t
+
 (** Create an empty relation named by the schema.
     @raise Invalid_argument when the name is taken. *)
 val create_relation :

@@ -16,7 +16,8 @@ type t = {
 let default_slots_per_page = 64
 
 let create ?(slots_per_page = default_slots_per_page) pool schema =
-  if slots_per_page <= 0 then invalid_arg "Heap_file.create: slots_per_page";
+  if slots_per_page <= 0 || slots_per_page > Rid.max_slots then
+    invalid_arg "Heap_file.create: slots_per_page";
   {
     schema;
     slots_per_page;
@@ -83,31 +84,34 @@ let insert t tuple =
   touch t page `Write;
   Rid.make ~page ~slot
 
-let fetch t (rid : Rid.t) =
-  if rid.Rid.page < 0 || rid.Rid.page >= t.n_pages then None
-  else begin
-    touch t rid.Rid.page `Read;
-    Page.get t.pages.(rid.Rid.page) rid.Rid.slot
-  end
+(* @raise Not_found if the slot is free or out of range; allocates
+   nothing. *)
+let fetch t rid =
+  let page = Rid.page rid in
+  if page >= t.n_pages then raise Not_found;
+  touch t page `Read;
+  Page.get t.pages.(page) (Rid.slot rid)
 
 (* @raise Not_found if the slot is empty or out of range. *)
-let delete t (rid : Rid.t) =
-  if rid.Rid.page < 0 || rid.Rid.page >= t.n_pages then raise Not_found;
-  let page = t.pages.(rid.Rid.page) in
+let delete t rid =
+  let p = Rid.page rid in
+  if p >= t.n_pages then raise Not_found;
+  let page = t.pages.(p) in
   let was_full = Page.is_full page in
-  let tuple = Page.delete page rid.Rid.slot in
-  if was_full then t.with_space <- rid.Rid.page :: t.with_space;
+  let tuple = Page.delete page (Rid.slot rid) in
+  if was_full then t.with_space <- p :: t.with_space;
   t.n_tuples <- t.n_tuples - 1;
-  touch t rid.Rid.page `Write;
+  touch t p `Write;
   tuple
 
 (* In-place update; schema-checked. @raise Not_found if slot empty. *)
-let update t (rid : Rid.t) tuple =
+let update t rid tuple =
   if not (Schema.conforms t.schema tuple) then
     invalid_arg "Heap_file.update: tuple does not conform to schema";
-  if rid.Rid.page < 0 || rid.Rid.page >= t.n_pages then raise Not_found;
-  Page.replace t.pages.(rid.Rid.page) rid.Rid.slot tuple;
-  touch t rid.Rid.page `Write
+  let page = Rid.page rid in
+  if page >= t.n_pages then raise Not_found;
+  Page.replace t.pages.(page) (Rid.slot rid) tuple;
+  touch t page `Write
 
 (* Visit the live tuples of one page, charging a single read. *)
 let iter_page t page f =
@@ -118,8 +122,7 @@ let iter_page t page f =
 (* Full scan in page order, charging a read per page. *)
 let iter t f =
   for p = 0 to t.n_pages - 1 do
-    touch t p `Read;
-    Page.iter t.pages.(p) (fun slot tuple -> f (Rid.make ~page:p ~slot) tuple)
+    iter_page t p f
   done
 
 let fold t f init =

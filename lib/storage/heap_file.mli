@@ -6,7 +6,7 @@ type t
 
 val default_slots_per_page : int
 
-(** @raise Invalid_argument if [slots_per_page <= 0]. *)
+(** @raise Invalid_argument unless [0 < slots_per_page <= Rid.max_slots]. *)
 val create : ?slots_per_page:int -> Buffer_pool.t -> Schema.t -> t
 
 val schema : t -> Schema.t
@@ -22,8 +22,9 @@ val size_bytes : t -> int
     schema. *)
 val insert : t -> Tuple.t -> Rid.t
 
-(** [None] when the rid's slot is free or out of range. *)
-val fetch : t -> Rid.t -> Tuple.t option
+(** The rid's tuple, charging one page read. Allocates nothing.
+    @raise Not_found when the rid's slot is free or out of range. *)
+val fetch : t -> Rid.t -> Tuple.t
 
 (** Free the slot, returning its tuple. @raise Not_found if empty. *)
 val delete : t -> Rid.t -> Tuple.t

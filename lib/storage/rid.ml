@@ -1,15 +1,22 @@
-(* Record identifiers: (page number, slot within page). *)
+(* Record identifiers: a page number and a slot within the page, packed
+   into one immediate int. The slot takes the low [slot_bits] bits, so
+   comparing two rids as ints orders them by page, then slot. *)
 
-type t = { page : int; slot : int }
+type t = int
 
-let make ~page ~slot = { page; slot }
+let slot_bits = 20
+let max_slots = 1 lsl slot_bits
 
-let compare a b =
-  let c = Int.compare a.page b.page in
-  if c <> 0 then c else Int.compare a.slot b.slot
+(* Pages below this pack into a non-negative int. *)
+let page_limit = 1 lsl (Sys.int_size - 1 - slot_bits)
 
-let equal a b = compare a b = 0
+let make ~page ~slot =
+  if page < 0 || page >= page_limit then invalid_arg "Rid.make: page out of range";
+  if slot < 0 || slot >= max_slots then invalid_arg "Rid.make: slot out of range";
+  (page lsl slot_bits) lor slot
 
-let hash t = (t.page * 1_000_003) + t.slot
-
-let pp ppf t = Fmt.pf ppf "(%d,%d)" t.page t.slot
+let page t = t lsr slot_bits
+let slot t = t land (max_slots - 1)
+let compare = Int.compare
+let equal = Int.equal
+let pp ppf t = Fmt.pf ppf "(%d,%d)" (page t) (slot t)

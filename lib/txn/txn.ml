@@ -99,8 +99,8 @@ let matching_rids t ~rel pred =
       List.filter
         (fun rid ->
           match Heap_file.fetch heap rid with
-          | Some tuple -> Predicate.eval pred tuple
-          | None -> false)
+          | tuple -> Predicate.eval pred tuple
+          | exception Not_found -> false)
         (List.sort_uniq Rid.compare (Index.find ix [| v |]))
   | None ->
       t.scan_matches <- t.scan_matches + 1;
@@ -125,11 +125,8 @@ let apply_change t change =
         List.map
           (fun rid ->
             let heap = Catalog.heap catalog rel in
-            let old =
-              match Heap_file.fetch heap rid with
-              | Some t -> t
-              | None -> assert false (* rid was matched moments ago *)
-            in
+            (* the rid was matched moments ago *)
+            let old = Heap_file.fetch heap rid in
             let fresh = Array.copy old in
             List.iter (fun (pos, v) -> fresh.(pos) <- v) set;
             ignore (Catalog.update catalog ~rel rid fresh);

@@ -19,7 +19,7 @@ let test_insert_find () =
     | other -> Alcotest.failf "key %d: %d rids" i (List.length other)
   done;
   check (Alcotest.list Alcotest.int) "missing key" []
-    (List.map (fun (r : Rid.t) -> r.Rid.page) (Btree.find t (key 999)));
+    (List.map Rid.page (Btree.find t (key 999)));
   Btree.validate t
 
 let test_duplicates () =

@@ -124,6 +124,90 @@ let test_packed_keys_clock_by_hand () =
   check Alcotest.bool "page numbers past 32 bits are refused" true
     (match rd f1 (1 lsl 32) with () -> false | exception Invalid_argument _ -> true)
 
+(* The previous buffer pool, kept as the reference: Minirel_cache's
+   CLOCK over packed page keys, with a dirty table. *)
+module Ref_pool = struct
+  module Policy = Minirel_cache.Policy
+
+  type t = { policy : int Policy.t; dirty : (int, unit) Hashtbl.t; stats : Io_stats.t }
+
+  let create ~capacity =
+    let t =
+      {
+        policy = Minirel_cache.Clock.create ~capacity;
+        dirty = Hashtbl.create 16;
+        stats = Io_stats.create ();
+      }
+    in
+    Policy.set_on_evict t.policy (fun key ->
+        if Hashtbl.mem t.dirty key then begin
+          Hashtbl.remove t.dirty key;
+          Io_stats.add_write t.stats
+        end);
+    t
+
+  let access t ~file ~page ~mode =
+    let key = (file lsl 32) lor page in
+    (match Policy.reference t.policy key with
+    | `Resident -> ()
+    | `Admitted -> Alcotest.fail "CLOCK never admits on a reference"
+    | `Rejected ->
+        (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ());
+        Policy.admit t.policy key);
+    match mode with `Write -> Hashtbl.replace t.dirty key () | `Read -> ()
+
+  let flush t =
+    Hashtbl.iter (fun _ () -> Io_stats.add_write t.stats) t.dirty;
+    Hashtbl.reset t.dirty
+end
+
+type pool_op = Access of int * int * [ `Read | `Write ] | Flush
+
+let gen_pool_op =
+  let open QCheck2.Gen in
+  (* a few pages around 0 and a few across 2^31, so pages both hit and
+     collide in the key table *)
+  let page = oneof [ int_range 0 9; map (fun d -> (1 lsl 31) - 4 + d) (int_range 0 9) ] in
+  let access mode = map2 (fun file page -> Access (file, page, mode)) (int_range 0 2) page in
+  frequency [ (6, access `Read); (3, access `Write); (1, pure Flush) ]
+
+let print_pool_op = function
+  | Access (f, p, `Read) -> Fmt.str "read %d:%d" f p
+  | Access (f, p, `Write) -> Fmt.str "write %d:%d" f p
+  | Flush -> "flush"
+
+(* Every access decision and every count equal the reference pool's,
+   after every step. *)
+let prop_matches_reference_clock =
+  QCheck2.Test.make ~name:"clock matches the reference pool, access for access" ~count:300
+    ~print:QCheck2.Print.(pair int (list print_pool_op))
+    QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 1 200) gen_pool_op))
+    (fun (capacity, ops) ->
+      let pool = Buffer_pool.create ~capacity () in
+      let files = Array.init 3 (fun _ -> Buffer_pool.register_file pool) in
+      let reference = Ref_pool.create ~capacity in
+      let counts (io : Io_stats.t) (c : Minirel_cache.Cache_stats.t) resident =
+        [
+          io.reads; io.writes; c.references; c.hits; c.admissions; c.rejections; c.evictions;
+          resident;
+        ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Access (f, page, mode) ->
+              Buffer_pool.access pool ~file:files.(f) ~page ~mode;
+              Ref_pool.access reference ~file:f ~page ~mode
+          | Flush ->
+              Buffer_pool.flush pool;
+              Ref_pool.flush reference);
+          counts (Buffer_pool.stats pool) (Buffer_pool.policy_stats pool)
+            (Buffer_pool.resident pool)
+          = counts reference.stats
+              (Minirel_cache.Policy.stats reference.policy)
+              (Minirel_cache.Policy.size reference.policy))
+        ops)
+
 let test_io_stats_diff () =
   let s = Io_stats.create () in
   Io_stats.add_read s;
@@ -146,4 +230,5 @@ let suite =
     Alcotest.test_case "io stats diff" `Quick test_io_stats_diff;
     Alcotest.test_case "packed keys: clock counts by hand" `Quick
       test_packed_keys_clock_by_hand;
+    QCheck_alcotest.to_alcotest prop_matches_reference_clock;
   ]

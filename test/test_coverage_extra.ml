@@ -265,24 +265,10 @@ let test_serializability_conflict () =
   check Alcotest.bool "consistent afterwards" true
     (Helpers.same_multiset got (Helpers.brute_force_answer catalog inst))
 
-let test_buffer_pool_two_q () =
-  (* the buffer pool under ghost-staging 2Q: first touch misses and
-     stages, second touch misses and promotes, third hits *)
-  let pool = Buffer_pool.create ~policy:Minirel_cache.Policies.Two_q ~capacity:4 () in
-  let f = Buffer_pool.register_file pool in
-  let stats = Buffer_pool.stats pool in
-  Buffer_pool.access pool ~file:f ~page:0 ~mode:`Read;
-  check Alcotest.int "stage read" 1 stats.Io_stats.reads;
-  Buffer_pool.access pool ~file:f ~page:0 ~mode:`Read;
-  check Alcotest.int "promotion still fetches" 2 stats.Io_stats.reads;
-  Buffer_pool.access pool ~file:f ~page:0 ~mode:`Read;
-  check Alcotest.int "now resident" 2 stats.Io_stats.reads
-
 let suite =
   [
     Alcotest.test_case "vacuum" `Quick test_vacuum;
     Alcotest.test_case "serializability conflict (3.6)" `Quick test_serializability_conflict;
-    Alcotest.test_case "buffer pool under 2q" `Quick test_buffer_pool_two_q;
     Alcotest.test_case "answer stats fields" `Quick test_answer_stats_fields;
     Alcotest.test_case "cold run charges io" `Quick test_cold_run_charges_io;
     QCheck_alcotest.to_alcotest prop_wal_recovery;

@@ -150,6 +150,26 @@ let test_shutdown_reclaims_versions () =
       [ Pmv.View.store v; Pmv.View.probe_store v ]
   done
 
+(* Build a scoped engine with data, a view and an answered query, drop
+   it, and keep only a weak pointer to its catalog. Not inlined, so no
+   register or stack slot of the caller still holds the engine. *)
+let[@inline never] dropped_engine_catalog () =
+  let e = scoped_rs () in
+  let c = eqt e in
+  ignore (Engine.ensure_view ~capacity:50 e c);
+  ignore (collect e (inst c ~f:1 ~g:1));
+  Engine.shutdown e;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Engine.catalog e));
+  w
+
+(* Nothing global may keep a dropped engine's catalog, and with it its
+   relations, indexes and pages, alive. *)
+let test_dropped_engine_collected () =
+  let w = dropped_engine_catalog () in
+  Gc.full_major ();
+  check Alcotest.bool "catalog collected" false (Weak.check w 0)
+
 let suite =
   [
     Alcotest.test_case "answer matches oracle" `Quick test_answer_matches_oracle;
@@ -160,4 +180,5 @@ let suite =
     Alcotest.test_case "independent telemetry" `Quick test_independent_telemetry;
     Alcotest.test_case "DML maintains own engine's view" `Quick
       test_engine_run_feeds_own_view;
+    Alcotest.test_case "dropped engine is collected" `Quick test_dropped_engine_collected;
   ]

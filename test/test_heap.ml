@@ -12,15 +12,20 @@ let fresh ?(pool_pages = 100) ?(slots_per_page = 4) () =
 let test_insert_fetch () =
   let _, h = fresh () in
   let rid = Heap_file.insert h (mk 1 "a") in
-  check (Alcotest.option Helpers.tuple) "fetch" (Some (mk 1 "a")) (Heap_file.fetch h rid);
+  check Helpers.tuple "fetch" (mk 1 "a") (Heap_file.fetch h rid);
   check Alcotest.int "count" 1 (Heap_file.n_tuples h);
-  check (Alcotest.option Helpers.tuple) "missing page" None
-    (Heap_file.fetch h (Rid.make ~page:99 ~slot:0))
+  Alcotest.check_raises "missing page" Not_found (fun () ->
+      ignore (Heap_file.fetch h (Rid.make ~page:99 ~slot:0)))
 
 let test_schema_enforced () =
-  let _, h = fresh () in
-  match Heap_file.insert h [| Value.Str "bad" |] with
+  let pool, h = fresh () in
+  (match Heap_file.insert h [| Value.Str "bad" |] with
   | _ -> Alcotest.fail "non-conforming tuple accepted"
+  | exception Invalid_argument _ -> ());
+  (* an empty tuple would read as a free slot, so no page stores one *)
+  let empty = Heap_file.create pool (Schema.create "e" []) in
+  match Heap_file.insert empty [||] with
+  | _ -> Alcotest.fail "empty tuple stored"
   | exception Invalid_argument _ -> ()
 
 let test_delete_and_reuse () =
@@ -35,14 +40,26 @@ let test_delete_and_reuse () =
   Alcotest.check_raises "double delete" Not_found (fun () -> ignore (Heap_file.delete h r1));
   (* freed slot is reused before new pages are allocated *)
   let r4 = Heap_file.insert h (mk 4 "d") in
-  check Alcotest.int "page reused" r1.Rid.page r4.Rid.page;
+  check Alcotest.int "page reused" (Rid.page r1) (Rid.page r4);
   check Alcotest.int "no page growth" 2 (Heap_file.n_pages h)
+
+let test_freed_slot () =
+  let _, h = fresh ~slots_per_page:4 () in
+  let rids = List.init 4 (fun i -> Heap_file.insert h (mk i "x")) in
+  let victim = List.nth rids 2 in
+  ignore (Heap_file.delete h victim);
+  Alcotest.check_raises "fetching a freed slot finds nothing" Not_found (fun () ->
+      ignore (Heap_file.fetch h victim));
+  let again = Heap_file.insert h (mk 9 "y") in
+  check Alcotest.bool "the freed slot is reused" true (Rid.equal victim again);
+  check Helpers.tuple "and holds the new tuple" (mk 9 "y") (Heap_file.fetch h again);
+  check Alcotest.int "no page growth" 1 (Heap_file.n_pages h)
 
 let test_update () =
   let _, h = fresh () in
   let rid = Heap_file.insert h (mk 1 "a") in
   Heap_file.update h rid (mk 1 "z");
-  check (Alcotest.option Helpers.tuple) "updated" (Some (mk 1 "z")) (Heap_file.fetch h rid);
+  check Helpers.tuple "updated" (mk 1 "z") (Heap_file.fetch h rid);
   Alcotest.check_raises "update empty slot" Not_found (fun () ->
       Heap_file.update h (Rid.make ~page:0 ~slot:3) (mk 9 "x"))
 
@@ -69,6 +86,46 @@ let test_io_charging () =
   check Alcotest.bool "read misses charged" true (stats.Io_stats.reads >= 3);
   Buffer_pool.flush pool;
   check Alcotest.bool "dirty pages written on flush" true (stats.Io_stats.writes >= 1)
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_rid_bounds () =
+  let make page slot () = Rid.make ~page ~slot in
+  check Alcotest.bool "negative page" true (raises_invalid (make (-1) 0));
+  check Alcotest.bool "negative slot" true (raises_invalid (make 0 (-1)));
+  check Alcotest.bool "slot 2^20" true (raises_invalid (make 0 (1 lsl 20)));
+  check Alcotest.bool "slot past 2^20" true (raises_invalid (make 3 ((1 lsl 20) + 7)));
+  let r = Rid.make ~page:((1 lsl 40) + 5) ~slot:((1 lsl 20) - 1) in
+  check Alcotest.(pair int int) "page and slot read back"
+    ((1 lsl 40) + 5, (1 lsl 20) - 1)
+    (Rid.page r, Rid.slot r);
+  let pool = Buffer_pool.create ~capacity:4 () in
+  check Alcotest.bool "2^20 slots per page allowed" false
+    (raises_invalid (fun () -> Heap_file.create ~slots_per_page:Rid.max_slots pool sch));
+  check Alcotest.bool "more than 2^20 slots per page refused" true
+    (raises_invalid (fun () -> Heap_file.create ~slots_per_page:(Rid.max_slots + 1) pool sch))
+
+(* Rids order like the (page, slot) records they replaced: by page,
+   then by slot. *)
+let prop_rid_order =
+  let gen_pos =
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_range 0 50; int_range 0 ((1 lsl 41) - 1) ])
+        (oneof [ int_range 0 50; int_range 0 ((1 lsl 20) - 1) ]))
+  in
+  QCheck2.Test.make ~name:"rid order matches (page, slot) order" ~count:500
+    ~print:QCheck2.Print.(pair (pair int int) (pair int int))
+    QCheck2.Gen.(pair gen_pos gen_pos)
+    (fun ((pa, sa), (pb, sb)) ->
+      let record_compare =
+        let c = Int.compare pa pb in
+        if c <> 0 then c else Int.compare sa sb
+      in
+      let a = Rid.make ~page:pa ~slot:sa and b = Rid.make ~page:pb ~slot:sb in
+      Int.compare (Rid.compare a b) 0 = Int.compare record_compare 0
+      && Rid.equal a b = (record_compare = 0)
+      && (Rid.page a, Rid.slot a) = (pa, sa))
 
 let prop_heap_vs_model =
   (* random insert/delete sequence behaves like a list-based model *)
@@ -109,8 +166,11 @@ let suite =
     Alcotest.test_case "insert and fetch" `Quick test_insert_fetch;
     Alcotest.test_case "schema enforced" `Quick test_schema_enforced;
     Alcotest.test_case "delete and slot reuse" `Quick test_delete_and_reuse;
+    Alcotest.test_case "freed slot: not fetched, reused" `Quick test_freed_slot;
     Alcotest.test_case "update" `Quick test_update;
     Alcotest.test_case "iter and fold" `Quick test_iter_fold;
     Alcotest.test_case "io charging" `Quick test_io_charging;
     QCheck_alcotest.to_alcotest prop_heap_vs_model;
+    Alcotest.test_case "rid bounds" `Quick test_rid_bounds;
+    QCheck_alcotest.to_alcotest prop_rid_order;
   ]

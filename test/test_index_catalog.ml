@@ -19,7 +19,7 @@ let test_hash_index () =
   check Alcotest.bool "delete gone" false (Hash_index.delete h (k 1) (rid 1));
   check Alcotest.int "after delete" 1 (List.length (Hash_index.find h (k 1)));
   check (Alcotest.list Alcotest.int) "missing" []
-    (List.map (fun (r : Rid.t) -> r.Rid.page) (Hash_index.find h (k 42)));
+    (List.map Rid.page (Hash_index.find h (k 42)));
   (* a 12-attribute key whose hash overflows to a negative int still
      charges a valid bucket page *)
   let pool = Buffer_pool.create ~capacity:4 () in

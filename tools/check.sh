@@ -2,7 +2,8 @@
 # Repo health gate: build, tier-1 tests, torture smokes (single-engine
 # on both probe paths, sharded, parallel sharded with digest
 # reproducibility, and the sharded epoch probe path), each with its
-# digest pinned, a flight-recorder smoke, telemetry and observability
+# digest pinned, the simulated I/O of a fixed-op cold_scan run pinned,
+# a flight-recorder smoke, telemetry and observability
 # overhead, shard scaling, probe-bound serving, work-stealing Domain-pool
 # parallelism (core-aware: speedups where the cores exist, scheduler
 # overhead vs the committed baseline on 1-core hosts), budget
@@ -119,6 +120,27 @@ dune exec test/test_main.exe -- test shapes || {
   echo "FAIL: a Section 3.6 query shape diverged from the oracle" >&2
   exit 1
 }
+
+echo "== simulated I/O pin (fixed-op traced cold_scan, seed 3)"
+# Figures 8-10's modelled I/O and EXPERIMENTS Extra A rest on the
+# buffer pool's CLOCK decisions. A fixed-op run (no --seconds) repeats
+# its counts exactly, so a page-path change that moves them fails here.
+pin_metric() { # run-json metric-name pinned-value (4 decimals)
+  got=$(echo "$1" | awk -v m="\"$2\": {\"value\": " '{
+    i = index($0, m); if (i) { s = substr($0, i + length(m)); sub(/[,}].*/, "", s); printf "%.4f", s } }')
+  if [ "$got" != "$3" ]; then
+    echo "FAIL: cold_scan $2 ${got:-none} differs from the pinned $3" >&2
+    exit 1
+  fi
+  echo "cold_scan $2 matches its pin: $got"
+}
+io_out=$(dune exec bench/e2e/main.exe -- one --workload cold_scan --seed 3 --trace 1 2>/dev/null | tail -1)
+echo "$io_out" | grep -q '"correct": true' || {
+  echo "FAIL: the fixed-op cold_scan run was not correct" >&2
+  exit 1
+}
+pin_metric "$io_out" buffer_pool.reads_per_op 644.1515
+pin_metric "$io_out" buffer_pool.hit_share 0.7032
 
 echo "== flight recorder smoke (forced fault -> non-empty, time-ordered, digest-stable dump)"
 # a short faulted workload so the ring does not wrap past the early
