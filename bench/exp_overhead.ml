@@ -334,8 +334,8 @@ let fig10 cfg =
     ~paper:
       "execution time grows with s and dwarfs the (roughly flat) overhead by >= 5 orders \
        of magnitude (modeled column prices each logical I/O at 5 ms of 2005-era disk)";
-  Output.row "%-8s %-13s %-13s %-13s %-13s %-13s %-10s@." "s" "exec T1(s)" "model T1(s)"
-    "pmv T1(s)" "model T2(s)" "pmv T2(s)" "ratio T1";
+  Output.row "%-8s %-13s %-10s %-13s %-13s %-10s %-13s %-13s %-10s@." "s" "exec T1(s)"
+    "io T1" "model T1(s)" "pmv T1(s)" "io T2" "model T2(s)" "pmv T2(s)" "ratio T1";
   List.iter
     (fun mult ->
       let s = base *. mult in
@@ -348,7 +348,8 @@ let fig10 cfg =
         run_shape env T2 ~e:2 ~f:2 ~g:1 ~f_max:3 ~capacity:(pmv_capacity cfg)
           ~warm:(n_warm cfg) ~measure:(n_measure cfg) ~seed:(cfg.seed + 1)
       in
-      Output.row "%-8.3f %-13.6f %-13.4f %-13.7f %-13.4f %-13.7f %-10.0f@." s r1.exec_s
-        (modeled_exec_s r1) r1.overhead_s (modeled_exec_s r2) r2.overhead_s
+      Output.row "%-8.3f %-13.6f %-10.3f %-13.4f %-13.7f %-10.3f %-13.4f %-13.7f %-10.0f@." s
+        r1.exec_s r1.io (modeled_exec_s r1) r1.overhead_s r2.io (modeled_exec_s r2)
+        r2.overhead_s
         (modeled_exec_s r1 /. Float.max 1e-9 r1.overhead_s))
     [ 0.5; 1.0; 1.5; 2.0 ]

@@ -8,7 +8,7 @@
      main.exe --scale 0.05    override the TPC-R scale factor
 *)
 
-let experiments ~full ~seed ~scale ~domains =
+let experiments ~full ~seed ~scale =
   let sim = { Exp_sim.full; seed } in
   let ov = { Exp_overhead.full; seed; scale } in
   let mt = { Exp_maintain.full; seed } in
@@ -37,11 +37,10 @@ let experiments ~full ~seed ~scale ~domains =
     ("shard", fun () -> Exp_shard.run { Exp_shard.full; seed; scale });
     ("shapes", fun () -> Exp_shapes.run { Exp_shapes.full; seed; scale });
     ("adaptive", fun () -> Exp_adaptive.run { Exp_adaptive.full; seed; scale });
-    ("parallel", fun () -> Exp_parallel.run { Exp_parallel.full; seed; scale; domains });
   ]
 
-let run full scale seed domains names =
-  let exps = experiments ~full ~seed ~scale ~domains in
+let run full scale seed names =
+  let exps = experiments ~full ~seed ~scale in
   let selected =
     match names with
     | [] -> exps
@@ -79,25 +78,18 @@ let scale =
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
-let domains =
-  Arg.(
-    value
-    & opt int 4
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Largest Domain-pool size the parallel experiment sweeps to.")
-
 let names =
   Arg.(
     value & pos_all string []
     & info [] ~docv:"EXPERIMENT"
         ~doc:
           "Experiments to run: table1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
-           maintain-measured ablation-policy ablation-aux ablation-f ablation-drift ablation-interval sens-warmup micro plancache telemetry observability torture shard shapes adaptive parallel. \
+           maintain-measured ablation-policy ablation-aux ablation-f ablation-drift ablation-interval sens-warmup micro plancache telemetry observability torture shard shapes adaptive. \
            Default: all.")
 
 let cmd =
   let doc = "Regenerate the tables and figures of 'Partial Materialized Views' (ICDE 2007)" in
   Cmd.v (Cmd.info "pmv-bench" ~doc)
-    Term.(const run $ full $ scale $ seed $ domains $ names)
+    Term.(const run $ full $ scale $ seed $ names)
 
 let () = exit (Cmd.eval cmd)

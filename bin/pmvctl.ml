@@ -13,7 +13,7 @@
      pmvctl demo --scale 0.02 --queries 500 --policy 2q
      pmvctl query --dates 3,7 --suppliers 2 --scale 0.01
      pmvctl simulate --alpha 1.07 --h 2 --n 2000
-     pmvctl trace --shards 4 --domains 4 --probe-path epoch
+     pmvctl trace --shards 4 --probe-path epoch
      pmvctl flight --fault maintain.apply --queries 50
 *)
 
@@ -28,24 +28,10 @@ module SM = Minirel_prng.Split_mix
 module Shell = Minirel_shell.Shell
 module Engine = Minirel_engine.Engine
 module Router = Minirel_engine.Shard_router
-module Pool = Minirel_parallel.Pool
 module Span = Minirel_telemetry.Span
 module Tracer = Minirel_telemetry.Tracer
 module Flight = Minirel_telemetry.Flight
 module Fault = Minirel_fault.Fault
-
-(* Run [f] with a Domain pool of [domains] workers (None when 1 —
-   everything stays sequential), shutting the pool down on the way
-   out. The scheduler counters register against the default registry
-   so `pmvctl metrics`-style snapshots show pool.sched.* alongside the
-   engine sources. *)
-let with_pool ~domains f =
-  if domains >= 2 then begin
-    let pool = Pool.create ~domains in
-    Pool.register_telemetry pool Minirel_telemetry.Registry.default;
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Some pool))
-  end
-  else f None
 
 let build ~scale ~seed =
   let pool = Buffer_pool.create ~capacity:4_000 () in
@@ -136,18 +122,14 @@ let simulate alpha h n policy =
    the telemetry in the requested format. Sharded prom output labels
    every series with its shard; text and json report the merged view
    (counters/gauges summed, histogram summaries merged). *)
-let metrics scale seed queries format shards domains probe_path =
+let metrics scale seed queries format shards probe_path =
   let catalog, params, t1 = build ~scale ~seed in
   let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
   let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
   let rng = SM.create ~seed:(seed + 1) in
   let gen () = Querygen.gen_t1 t1 ~dates_zipf:dz ~supp_zipf:sz ~e:2 ~f:2 rng in
-  with_pool ~domains @@ fun par ->
   if shards <= 1 then begin
-    (* the engine shares Registry.default, where with_pool registered
-       pool.sched — the snapshot carries the scheduler counters *)
     let engine = Engine.create ~catalog () in
-    Engine.set_parallel engine par;
     Engine.set_probe_path engine probe_path;
     ignore (Engine.ensure_view ~capacity:2_000 ~f_max:3 engine t1);
     for _ = 1 to queries do
@@ -162,12 +144,6 @@ let metrics scale seed queries format shards domains probe_path =
   else begin
     let router = shard_tpcr ~shards catalog in
     Router.set_probe_path router probe_path;
-    Router.set_parallel router par;
-    (* shards have scoped registries; put pool.sched on shard 0 so the
-       merged snapshot (and prom export) carries it *)
-    Option.iter
-      (fun p -> Pool.register_telemetry p (Engine.registry (Router.shard router 0)))
-      par;
     ignore (Router.create_view ~capacity:2_000 ~f_max:3 router t1);
     for _ = 1 to queries do
       ignore (Router.answer router (gen ()) ~on_tuple:(fun _ _ -> ()))
@@ -192,29 +168,25 @@ let apply_trace_sampling engine sample tseed =
         ?seed:(Option.map Int64.of_int tseed)
         (Engine.tracer engine) ~every
 
-(* Answer a seeded T1 workload and print the final query's stitched
-   span tree: one tree per query even across the sharded parallel
-   fan-out — per-shard subtrees annotated with shard/domain/worker,
+(* Answer a seeded T1 workload and print the final query's span tree:
+   one tree per query even across shards — one subtree per shard,
    probe-path attribution on every answer span. *)
-let trace scale seed queries shards domains probe_path sample tseed =
+let trace scale seed queries shards probe_path sample tseed =
   let catalog, params, t1 = build ~scale ~seed in
   let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
   let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
   let rng = SM.create ~seed:(seed + 1) in
   let gen () = Querygen.gen_t1 t1 ~dates_zipf:dz ~supp_zipf:sz ~e:2 ~f:2 rng in
-  with_pool ~domains @@ fun par ->
   (* [e] owns the tracer the root span opens on (shard 0 when sharded) *)
   let e, answer =
     if shards <= 1 then begin
       let engine = Engine.create ~catalog () in
-      Engine.set_parallel engine par;
       Engine.set_probe_path engine probe_path;
       ignore (Engine.ensure_view ~capacity:2_000 ~f_max:3 engine t1);
       (engine, fun ?trace q ~on_tuple -> Engine.answer ?trace engine q ~on_tuple)
     end
     else begin
       let router = shard_tpcr ~shards catalog in
-      Router.set_parallel router par;
       Router.set_probe_path router probe_path;
       ignore (Router.create_view ~capacity:2_000 ~f_max:3 router t1);
       (Router.shard router 0, fun ?trace q ~on_tuple -> Router.answer ?trace router q ~on_tuple)
@@ -241,7 +213,7 @@ let trace scale seed queries shards domains probe_path sample tseed =
    publishes and — with --fault — failpoint hits land in the recorder),
    then dump the flight recorder: a merged, globally-ordered event log
    whose digest depends only on what happened, not when. *)
-let flight scale seed queries shards domains probe_path fault_site =
+let flight scale seed queries shards probe_path fault_site =
   let catalog, params, t1 = build ~scale ~seed in
   let dz = Zipf.create ~n:params.Tpcr.n_dates ~alpha:1.07 in
   let sz = Zipf.create ~n:params.Tpcr.n_suppliers ~alpha:1.07 in
@@ -257,7 +229,6 @@ let flight scale seed queries shards domains probe_path fault_site =
       Value.Str "";
     |]
   in
-  with_pool ~domains @@ fun par ->
   Flight.reset ();
   let arm reg =
     match fault_site with
@@ -269,7 +240,6 @@ let flight scale seed queries shards domains probe_path fault_site =
   let answer, run_dml =
     if shards <= 1 then begin
       let engine = Engine.create ~catalog () in
-      Engine.set_parallel engine par;
       Engine.set_probe_path engine probe_path;
       ignore (Engine.ensure_view ~capacity:2_000 ~f_max:3 engine t1);
       arm (Engine.fault engine);
@@ -278,7 +248,6 @@ let flight scale seed queries shards domains probe_path fault_site =
     end
     else begin
       let router = shard_tpcr ~shards catalog in
-      Router.set_parallel router par;
       Router.set_probe_path router probe_path;
       ignore (Router.create_view ~capacity:2_000 ~f_max:3 router t1);
       List.iter (fun e -> arm (Engine.fault e)) (Router.shards router);
@@ -304,24 +273,15 @@ let flight scale seed queries shards domains probe_path fault_site =
 (* Run SQL statements against generated TPC-R data through the shell,
    one PMV per template (per shard when sharded). Each statement runs
    twice to show the warm-cache effect. *)
-let sql scale seed shards domains probe_path statements =
+let sql scale seed shards probe_path statements =
   if statements = [] then begin
     Fmt.epr "pass one or more SQL statements as positional arguments@.";
     exit 2
   end;
   let catalog, _params, _t1 = build ~scale ~seed in
-  with_pool ~domains @@ fun par ->
   let shell =
-    if shards <= 1 then begin
-      let shell = Shell.create catalog in
-      Engine.set_parallel (Shell.engine shell) par;
-      shell
-    end
-    else begin
-      let router = shard_tpcr ~shards catalog in
-      Router.set_parallel router par;
-      Shell.of_router router
-    end
+    if shards <= 1 then Shell.create catalog
+    else Shell.of_router (shard_tpcr ~shards catalog)
   in
   Shell.set_probe_path shell probe_path;
   List.iter
@@ -337,22 +297,19 @@ let sql scale seed shards domains probe_path statements =
       | Minirel_sql.Binder.Error e
       | Shell.Error e ->
           Fmt.epr "  error: %s@." e
-      | Invalid_argument e -> Fmt.epr "  error: %s@." e)
+      | Invalid_argument e -> Fmt.epr "  error: %s@." e
+      | Minirel_txn.Lock_manager.Conflict c ->
+          Fmt.epr "  error: lock conflict: %a@." Minirel_txn.Lock_manager.pp_conflict c)
     statements
 
 (* Interactive loop: full SQL statements (SELECT with GROUP BY / ORDER
    BY / LIMIT, CREATE TABLE/INDEX, INSERT, DELETE) from stdin via the
    shell, one PMV per template, with dot-commands for introspection. *)
-let repl scale seed fresh persist shards domains probe_path =
+let repl scale seed fresh persist shards probe_path =
   if shards > 1 && persist <> None then begin
     Fmt.epr "--persist is not supported with --shards@.";
     exit 2
   end;
-  with_pool ~domains @@ fun par ->
-  let of_router router =
-    Router.set_parallel router par;
-    Shell.of_router router
-  in
   (* with --persist BASE, the catalog survives across sessions as
      BASE.snapshot + BASE.wal: load both on entry, append the wal while
      running, and fold the wal into a fresh snapshot on exit *)
@@ -374,15 +331,14 @@ let repl scale seed fresh persist shards domains probe_path =
             (* empty sharded database: tables created in the repl
                replicate (declare partitioned relations through the
                library API) *)
-            of_router (Router.create ~shards ())
+            Shell.of_router (Router.create ~shards ())
           else Shell.create (Catalog.create (Buffer_pool.create ~capacity:4_000 ()))
         else begin
           let catalog, _params, _t1 = build ~scale ~seed in
-          if shards > 1 then of_router (shard_tpcr ~shards catalog)
+          if shards > 1 then Shell.of_router (shard_tpcr ~shards catalog)
           else Shell.create catalog
         end
   in
-  if shards <= 1 then Engine.set_parallel (Shell.engine shell) par;
   Shell.set_probe_path shell probe_path;
   let finish =
     match persist with
@@ -425,6 +381,8 @@ let repl scale seed fresh persist shards domains probe_path =
         | Shell.Error e ->
             Fmt.pr "error: %s@." e
         | Invalid_argument e | Failure e -> Fmt.pr "error: %s@." e
+        | Minirel_txn.Lock_manager.Conflict c ->
+            Fmt.pr "error: lock conflict: %a@." Minirel_txn.Lock_manager.pp_conflict c
         | Not_found -> Fmt.pr "error: unknown relation@.");
         loop ()
   in
@@ -432,7 +390,7 @@ let repl scale seed fresh persist shards domains probe_path =
 
 (* Replay one deterministic torture campaign (fault injection + oracle
    checking); the same seed always reproduces the same event digest. *)
-let torture scale seed events check_every shards domains probe_path verbose =
+let torture scale seed events check_every shards probe_path verbose =
   let module Torture = Minirel_check.Torture in
   let cfg =
     {
@@ -441,23 +399,20 @@ let torture scale seed events check_every shards domains probe_path verbose =
       scale;
       check_every;
       shards;
-      domains;
       probe_path;
       log = (if verbose then Some (Fmt.pr "  %s@.") else None);
     }
   in
-  Fmt.pr "torture: seed %d, %d events, scale %g%s%s%s%s@." seed events scale
+  Fmt.pr "torture: seed %d, %d events, scale %g%s%s%s@." seed events scale
     (if shards > 1 then Fmt.str ", %d shards" shards else "")
-    (if shards > 1 && domains > 1 then Fmt.str ", %d domains" domains else "")
     (if probe_path = Pmv.Answer.Epoch then ", epoch probes" else "")
     (if verbose then "" else " (use --verbose for the event trace)");
   let o = if shards > 1 then Torture.run_sharded cfg else Torture.run cfg in
   Fmt.pr "%a@." Torture.pp_outcome o;
   if not (Torture.ok o) then begin
     Fmt.epr
-      "reproduce with: pmvctl torture --seed %d --events %d --scale %g --shards %d \
-       --domains %d --verbose@."
-      seed events scale shards domains;
+      "reproduce with: pmvctl torture --seed %d --events %d --scale %g --shards %d --verbose@."
+      seed events scale shards;
     exit 1
   end
 
@@ -472,15 +427,6 @@ let shards_arg =
     & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:"Hash-partition the database across N engine shards (1 = single engine).")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Run with a pool of N worker domains: sharded queries fan out in parallel and \
-           O3 scans/joins run morsel-parallel (1 = sequential).")
 
 (* --probe-path=locked|epoch, parsed through Answer.probe_path_of_string
    so the CLI and the library agree on the spelling. *)
@@ -536,8 +482,7 @@ let sql_cmd =
           o.orderkey, l.quantity from orders o, lineitem l where o.orderkey = l.orderkey \
           and (o.orderdate = 3) and (l.suppkey = 2)\")")
     Term.(
-      const sql $ scale_arg $ seed_arg $ shards_arg $ domains_arg $ probe_path_arg
-      $ statements)
+      const sql $ scale_arg $ seed_arg $ shards_arg $ probe_path_arg $ statements)
 
 let trace_sample_arg =
   Arg.(
@@ -563,12 +508,12 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Answer a short T1 workload and print the last query's stitched span tree — one \
-          tree per query even across the sharded parallel fan-out, with per-shard \
-          subtrees annotated shard/domain/worker and probe-path attribution")
+         "Answer a short T1 workload and print the last query's span tree — one tree \
+          per query even across shards, with one subtree per shard and probe-path \
+          attribution")
     Term.(
-      const trace $ scale_arg $ seed_arg $ queries $ shards_arg $ domains_arg
-      $ probe_path_arg $ trace_sample_arg $ trace_seed_arg)
+      const trace $ scale_arg $ seed_arg $ queries $ shards_arg $ probe_path_arg
+      $ trace_sample_arg $ trace_seed_arg)
 
 let flight_cmd =
   let queries = Arg.(value & opt int 50 & info [ "queries" ] ~docv:"N") in
@@ -588,8 +533,7 @@ let flight_cmd =
           flight recorder: a merged, time-ordered low-level event log with a \
           reproducible digest")
     Term.(
-      const flight $ scale_arg $ seed_arg $ queries $ shards_arg $ domains_arg
-      $ probe_path_arg $ fault)
+      const flight $ scale_arg $ seed_arg $ queries $ shards_arg $ probe_path_arg $ fault)
 
 let metrics_cmd =
   let queries = Arg.(value & opt int 200 & info [ "queries" ] ~docv:"N") in
@@ -603,8 +547,7 @@ let metrics_cmd =
     (Cmd.info "metrics"
        ~doc:"Run a short T1 workload and dump the telemetry snapshot")
     Term.(
-      const metrics $ scale_arg $ seed_arg $ queries $ format $ shards_arg
-      $ domains_arg $ probe_path_arg)
+      const metrics $ scale_arg $ seed_arg $ queries $ format $ shards_arg $ probe_path_arg)
 
 let repl_cmd =
   let fresh =
@@ -620,8 +563,7 @@ let repl_cmd =
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive SQL over TPC-R data with per-template PMVs")
     Term.(
-      const repl $ scale_arg $ seed_arg $ fresh $ persist $ shards_arg $ domains_arg
-      $ probe_path_arg)
+      const repl $ scale_arg $ seed_arg $ fresh $ persist $ shards_arg $ probe_path_arg)
 
 let torture_cmd =
   let events = Arg.(value & opt int 400 & info [ "events" ] ~docv:"N" ~doc:"Workload events.") in
@@ -639,8 +581,8 @@ let torture_cmd =
           conflicts, I/O errors, deferred/lost maintenance) with every query \
           oracle-checked; exits non-zero on any consistency violation")
     Term.(
-      const torture $ scale $ seed_arg $ events $ check_every $ shards_arg $ domains_arg
-      $ probe_path_arg $ verbose)
+      const torture $ scale $ seed_arg $ events $ check_every $ shards_arg $ probe_path_arg
+      $ verbose)
 
 let () =
   let doc = "partial materialized views demonstration tool" in

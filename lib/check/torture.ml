@@ -40,7 +40,6 @@ type cfg = {
   scale : float;
   check_every : int;
   shards : int;  (* engine count for {!run_sharded}; {!run} ignores it *)
-  domains : int;  (* pool workers for {!run_sharded}'s fan-out; 1 = sequential *)
   probe_path : Pmv.Answer.probe_path;
       (* read path queries take; Locked keeps the lockmgr fault sites hot *)
   dir : string option;
@@ -54,7 +53,6 @@ let default_cfg ~seed =
     scale = 0.002;
     check_every = 40;
     shards = 1;
-    domains = 1;
     probe_path = Pmv.Answer.Locked;
     dir = None;
     log = None;
@@ -364,9 +362,6 @@ let wal_site = function
   | "wal.pre_append" | "wal.mid_flush" | "wal.post_commit" -> true
   | _ -> false
 
-let lock_conflict msg =
-  String.length msg >= 13 && String.sub msg 0 13 = "lock conflict"
-
 let run_txn st change =
   match Txn.run st.mgr [ change ] with
   | deltas ->
@@ -380,7 +375,7 @@ let run_txn st change =
       shadow_apply_change st change;
       st.txns <- st.txns + 1;
       `Lost_maintenance
-  | exception Failure msg when lock_conflict msg -> `Lock_reject
+  | exception Lock_manager.Conflict _ -> `Lock_reject
 
 (* --- crash + recovery -------------------------------------------------- *)
 
@@ -614,7 +609,7 @@ let run_checked_query st =
               (Fmt.str "query %d (%s): %d rows, %d partial, %d stale" st.qid
                  (describe_inst inst) r.Check.delivered r.Check.partials
                  r.Check.stats.Pmv.Answer.stale_purged)
-      | exception Failure msg when lock_conflict msg ->
+      | exception Lock_manager.Conflict _ ->
           st.lock_rejects <- st.lock_rejects + 1;
           note st (Fmt.str "query %d: lock rejected" st.qid)
       | exception Fault.Injected site ->
@@ -623,7 +618,7 @@ let run_checked_query st =
   | shape -> (
       match shape_query st shape inst with
       | () -> ()
-      | exception Failure msg when lock_conflict msg ->
+      | exception Lock_manager.Conflict _ ->
           st.lock_rejects <- st.lock_rejects + 1;
           note st (Fmt.str "query %d: lock rejected" st.qid)
       | exception Fault.Injected site ->
@@ -673,7 +668,7 @@ let io_fault_event st =
   | exception Fault.Injected site ->
       st.io_faults <- st.io_faults + 1;
       note st (Fmt.str "query %d: injected %s mid-answer" st.qid site)
-  | exception Failure msg when lock_conflict msg -> st.lock_rejects <- st.lock_rejects + 1);
+  | exception Lock_manager.Conflict _ -> st.lock_rejects <- st.lock_rejects + 1);
   Fault.disarm "bufferpool.read";
   (* an aborted answer must not have corrupted the view: re-check *)
   run_checked_query st
@@ -988,7 +983,7 @@ let squery st =
               (Fmt.str "query %d (%s): %d rows, %d partial, %d stale" st.qid
                  (describe_inst inst) r.Check.delivered r.Check.partials
                  r.Check.stats.Pmv.Answer.stale_purged)
-      | exception Failure msg when lock_conflict msg ->
+      | exception Lock_manager.Conflict _ ->
           st.lock_rejects <- st.lock_rejects + 1;
           snote st (Fmt.str "query %d: lock rejected" st.qid)
       | exception Fault.Injected site ->
@@ -997,7 +992,7 @@ let squery st =
   | shape -> (
       match sshape_query st shape inst with
       | () -> ()
-      | exception Failure msg when lock_conflict msg ->
+      | exception Lock_manager.Conflict _ ->
           st.lock_rejects <- st.lock_rejects + 1;
           snote st (Fmt.str "query %d: lock rejected" st.qid)
       | exception Fault.Injected site ->
@@ -1017,7 +1012,7 @@ let stxn st =
       snote st
         (Fmt.str "routed to [%s]"
            (String.concat ";" (List.map (fun (i, _) -> string_of_int i) routed)))
-  | exception Failure msg when lock_conflict msg ->
+  | exception Lock_manager.Conflict _ ->
       st.lock_rejects <- st.lock_rejects + 1;
       snote st "txn: lock rejected"
 
@@ -1085,7 +1080,7 @@ let sdefer st =
       snote st "deferred on the owning shard";
       (* answer under pending maintenance: the lenient verdict applies *)
       squery st
-  | exception Failure msg when lock_conflict msg ->
+  | exception Lock_manager.Conflict _ ->
       st.lock_rejects <- st.lock_rejects + 1);
   List.iter (fun r -> Fault.arm_in r "maintain.defer" (Fault.Prob defer_prob)) regs;
   sflush st
@@ -1160,7 +1155,6 @@ let spick w =
 
 let run_sharded cfg =
   let shards = max 1 cfg.shards in
-  let domains = max 1 cfg.domains in
   let params = Tpcr.params_for_scale ~seed:cfg.seed ~pad:false cfg.scale in
   let pool = Buffer_pool.create ~capacity:20_000 () in
   let ref_catalog = Catalog.create pool in
@@ -1201,28 +1195,12 @@ let run_sharded cfg =
       Fault.enable_in ~seed:(cfg.seed + i) reg;
       Fault.arm_in reg "maintain.defer" (Fault.Prob defer_prob))
     (Router.shards st.router);
-  (* Attach the fan-out pool (campaign-owned: torn down on exit). The
-     merged stream is order-identical to the sequential one, so the
-     digest stays reproducible for a fixed (seed, domains) pair. *)
-  let fanout_pool =
-    if domains >= 2 then begin
-      let p = Minirel_parallel.Pool.create ~domains in
-      Router.set_parallel st.router (Some p);
-      Some p
-    end
-    else None
-  in
-  let finally () =
-    Router.set_parallel st.router None;
-    Option.iter Minirel_parallel.Pool.shutdown fanout_pool
-  in
-  Fun.protect ~finally @@ fun () ->
   snote st
     (Fmt.str
-       "sharded torture seed=%d events=%d scale=%g shards=%d domains=%d (%d customers, \
-        %d orders, %d lineitems)"
-       cfg.seed cfg.events cfg.scale shards domains counts.Tpcr.customers
-       counts.Tpcr.orders counts.Tpcr.lineitems);
+       "sharded torture seed=%d events=%d scale=%g shards=%d (%d customers, %d orders, %d \
+        lineitems)"
+       cfg.seed cfg.events cfg.scale shards counts.Tpcr.customers counts.Tpcr.orders
+       counts.Tpcr.lineitems);
   for i = 1 to cfg.events do
     if cfg.check_every > 0 && i mod cfg.check_every = 0 then sdeep st;
     match spick st.w with

@@ -17,10 +17,6 @@ type cfg = {
   scale : float;  (** TPC-R scale factor for the base data *)
   check_every : int;  (** deep view + catalog check every k events *)
   shards : int;  (** engine count for {!run_sharded}; {!run} ignores it *)
-  domains : int;
-      (** Domain-pool workers for {!run_sharded}'s parallel shard
-          fan-out (1 = sequential; {!run} ignores it). The digest is
-          reproducible run to run for a fixed (seed, domains) pair. *)
   probe_path : Pmv.Answer.probe_path;
       (** read path queries take (default [Locked], which keeps the
           lock-manager fault sites on the query path hot; [Epoch]

@@ -29,9 +29,6 @@ type t = {
   registry : Registry.t;
   tracer : Tracer.t;
   mutable wal : Wal.t option;
-  (* Domain pool for morsel-parallel O3 execution. Externally owned:
-     attaching does not transfer shutdown responsibility. *)
-  mutable par : Minirel_parallel.Pool.t option;
   (* Default read path for [answer]; per-call override wins. *)
   mutable probe_path : Pmv.Answer.probe_path;
 }
@@ -60,7 +57,6 @@ let create ?(name = "engine") ?(fault = Fault.default) ?(registry = Registry.def
     registry;
     tracer;
     wal = None;
-    par = None;
     probe_path = Pmv.Answer.Locked;
   }
 
@@ -83,8 +79,6 @@ let fault t = t.fault
 let registry t = t.registry
 let tracer t = t.tracer
 let wal t = t.wal
-let parallel t = t.par
-let set_parallel t pool = t.par <- pool
 let probe_path t = t.probe_path
 let set_probe_path t path = t.probe_path <- path
 
@@ -120,13 +114,11 @@ let ensure_view ?policy ?f_max ?capacity ?ub_bytes t compiled =
 let find_view t ~template = Pmv.Manager.find t.manager ~template
 
 (* Answer under the Section 3.6 S-lock protocol through the engine's
-   manager (PMV when the template has one, plain otherwise). [par]
-   overrides the attached pool for this query. *)
-let answer ?par ?profile ?probe_path ?trace t instance ~on_tuple =
-  let par = match par with Some _ -> par | None -> t.par in
+   manager (PMV when the template has one, plain otherwise). *)
+let answer ?profile ?probe_path ?trace t instance ~on_tuple =
   let probe_path = Option.value ~default:t.probe_path probe_path in
-  Pmv.Manager.answer ~locks:(locks t) ?par ?profile ~probe_path ?trace t.manager
-    instance ~on_tuple
+  Pmv.Manager.answer ~locks:(locks t) ?profile ~probe_path ?trace t.manager instance
+    ~on_tuple
 
 (* Root-trace lifecycle on this engine's (possibly scoped) tracer: the
    serving surface (shell, pmvctl) opens the root here, threads the

@@ -56,14 +56,6 @@ val registry : t -> Minirel_telemetry.Registry.t
 val tracer : t -> Minirel_telemetry.Tracer.t
 val wal : t -> Minirel_txn.Wal.t option
 
-(** The attached Domain pool, if any. *)
-val parallel : t -> Minirel_parallel.Pool.t option
-
-(** Attach (or detach, with [None]) a Domain pool for morsel-parallel
-    O3 execution. The pool stays externally owned — shut it down where
-    it was created. *)
-val set_parallel : t -> Minirel_parallel.Pool.t option -> unit
-
 (** Default read path for {!answer} (initially
     {!Pmv.Answer.Locked}); a per-call [probe_path] argument wins. *)
 val probe_path : t -> Pmv.Answer.probe_path
@@ -79,7 +71,7 @@ val detach_wal : t -> unit
 
 (** Run a transaction through the engine: locks, WAL (when attached)
     and deferred PMV maintenance all fire.
-    @raise Failure on a lock conflict. *)
+    @raise Minirel_txn.Lock_manager.Conflict on a lock conflict. *)
 val run : t -> Minirel_txn.Txn.change list -> Minirel_txn.Txn.delta list
 
 (** The template's view, creating it on first use ({!Pmv.Manager.create_view}
@@ -97,15 +89,12 @@ val find_view : t -> template:string -> Pmv.View.t option
 
 (** Answer under the Section 3.6 S-lock protocol through the engine's
     manager — PMV when the template has one, plain otherwise; the
-    boolean reports whether a view was used. [par] overrides the
-    attached pool ({!set_parallel}) for this query; either way, O3
-    heap scans and hash joins run morsel-parallel on the pool.
+    boolean reports whether a view was used.
     [probe_path] overrides the engine default ({!set_probe_path});
     [trace] propagates a caller-owned trace context so the whole
     pipeline records into one stitched span tree (see
     {!Pmv.Answer.answer}). *)
 val answer :
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Minirel_exec.Exec_stats.t ->
   ?probe_path:Pmv.Answer.probe_path ->
   ?trace:Minirel_telemetry.Span.trace ->

@@ -45,21 +45,18 @@ module Histogram = Minirel_telemetry.Histogram
 module Span = Minirel_telemetry.Span
 module Flight = Minirel_telemetry.Flight
 
-module Pool = Minirel_parallel.Pool
-module Spsc = Minirel_parallel.Spsc
-
 type part = Hash of int (* partition-key position *) | Replicated
 
 (* Router-level probe cache for one template: complete per-bcp answers
    to the *merged* (cross-shard) query, segmented by bcp hash so the
    aggregate fast-path capacity scales with the shard count — the
    shard-local probe fast path. A hit answers straight out of the
-   owning segment: no fan-out, no merge, no pool dispatch. *)
+   owning segment: no fan-out, no merge. *)
 type probe_cache = {
   pc_compiled : Template.compiled;
   pc_segments : Pmv.Entry_store.t array;  (* one per shard, disjoint bcp sets *)
-  (* Per-segment fast-path counters, atomic because pool-driven callers
-     may race a concurrent reader; indexed like [pc_segments]. Exported
+  (* Per-segment fast-path counters, atomic because a concurrent client
+     may race the reader; indexed like [pc_segments]. Exported
      per (template, shard) through the [router.probe] source and with
      {shard,template} labels in {!prometheus_string}. *)
   pc_hits : int Atomic.t array;  (* probes returning a trusted version *)
@@ -77,62 +74,26 @@ type probe_stats = {
   probe_ns : Histogram.t;  (* latency of the probe phase, hit or miss *)
 }
 
-(* One recycled fan-out harness for a shard: the SPSC stream, the
-   tuple batch buffer and the interned span label a shard task needs.
-   Building these per query was measurable allocation on the fan-out
-   path; a slot keyed by shard id hands a stolen shard task the warm
-   state the previous fan-out already built. Slots are validated
-   against the router's [ddl_epoch] — any DDL (declare/create/index/
-   view/load) bumps it and strands every older slot, so a recycled
-   queue can never straddle a schema change. *)
-type aff_slot = {
-  aff_queue : msg Spsc.t;
-  aff_buf : (Pmv.Answer.phase * Minirel_storage.Tuple.t) array;
-  aff_label : string;  (* "shard%d", precomputed *)
-  aff_epoch : int;  (* ddl_epoch the slot was built under *)
-}
-
-and msg =
-  | Batch of (Pmv.Answer.phase * Minirel_storage.Tuple.t) array
-  | Done of Pmv.Answer.stats * bool * Span.t option
-  | Fail of exn
-
-(* Engine-affinity counters: how often a fan-out found a warm slot. *)
-type aff_stats = {
-  aff_hits : int Atomic.t;
-  aff_misses : int Atomic.t;  (* slot empty or taken by a racing query *)
-  aff_invalidations : int Atomic.t;  (* slot discarded: stale ddl_epoch *)
-}
-
 type t = {
   shards : Engine.t array;
   parts : (string, part) Hashtbl.t;  (* relation -> partitioning *)
   probe_caches : (string, probe_cache) Hashtbl.t;  (* template name -> cache *)
   pstats : probe_stats;
   mutable probe_path : Pmv.Answer.probe_path;  (* default for [answer] *)
-  (* Domain pool for parallel shard fan-out; externally owned, see
-     [set_parallel]. *)
-  mutable par : Pool.t option;
-  (* Engine-affinity cache: one recyclable fan-out harness per shard,
-     taken with an atomic exchange (concurrent queries miss rather
-     than share), invalidated by [ddl_epoch]. *)
-  aff_slots : aff_slot option Atomic.t array;
-  ddl_epoch : int Atomic.t;
-  astats : aff_stats;
-  (* Router-owned scoped registry holding the router-level sources
-     (probe fast path, engine affinity) so [snapshot_merged] carries
-     them next to the summed per-shard series. *)
+  (* Router-owned scoped registry holding the router-level probe source,
+     so [snapshot_merged] carries it next to the summed per-shard
+     series. *)
   registry : Minirel_telemetry.Registry.t;
 }
 
 let empty_probe_stats () =
   { fast_hits = 0; fallbacks = 0; probes = 0; probe_hits = 0; probe_ns = Histogram.create () }
 
-(* The router-level sources register twice: in the process-global
+(* The router-level source registers twice: in the process-global
    registry (visible to [pmvctl metrics] next to engine-level series; a
    newer router takes the name over, following the live instance) and
    in the router's own scoped [registry], which [snapshot_merged] folds
-   in so sharded snapshots carry them too. *)
+   in so sharded snapshots carry it too. *)
 let probe_cache_templates t =
   List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.probe_caches [])
 
@@ -192,36 +153,6 @@ let register_probe_telemetry ?(registry = Minirel_telemetry.Registry.default) t 
             (Printf.sprintf "%s.s%d.%s" template i kind, R.Counter n))
           (probe_cache_rows t))
 
-let register_affinity_telemetry ?(registry = Minirel_telemetry.Registry.default) t =
-  let module R = Minirel_telemetry.Registry in
-  let a = t.astats in
-  R.register_source registry ~name:"router.affinity"
-    ~reset:(fun () ->
-      Atomic.set a.aff_hits 0;
-      Atomic.set a.aff_misses 0;
-      Atomic.set a.aff_invalidations 0)
-    (fun () ->
-      [
-        ("aff_hits", R.Counter (Atomic.get a.aff_hits));
-        ("aff_misses", R.Counter (Atomic.get a.aff_misses));
-        ("aff_invalidations", R.Counter (Atomic.get a.aff_invalidations));
-        ("ddl_epoch", R.Counter (Atomic.get t.ddl_epoch));
-      ])
-
-let affinity_stats t =
-  ( Atomic.get t.astats.aff_hits,
-    Atomic.get t.astats.aff_misses,
-    Atomic.get t.astats.aff_invalidations )
-
-let ddl_epoch t = Atomic.get t.ddl_epoch
-
-(* Any schema-shape change strands every outstanding affinity slot:
-   bump the epoch and drop what is parked right now (slots checked out
-   by in-flight queries age out on their put-back epoch check). *)
-let bump_ddl_epoch t =
-  Atomic.incr t.ddl_epoch;
-  Array.iter (fun slot -> Atomic.set slot None) t.aff_slots
-
 let create ?pool_capacity ?default_f_max ?default_policy ~shards () =
   if shards <= 0 then invalid_arg "Shard_router.create: shards must be positive";
   let t =
@@ -235,33 +166,18 @@ let create ?pool_capacity ?default_f_max ?default_policy ~shards () =
       probe_caches = Hashtbl.create 8;
       pstats = empty_probe_stats ();
       probe_path = Pmv.Answer.Locked;
-      par = None;
-      aff_slots = Array.init shards (fun _ -> Atomic.make None);
-      ddl_epoch = Atomic.make 0;
-      astats =
-        {
-          aff_hits = Atomic.make 0;
-          aff_misses = Atomic.make 0;
-          aff_invalidations = Atomic.make 0;
-        };
       registry = Minirel_telemetry.Registry.create ();
     }
   in
   register_probe_telemetry t;
-  register_affinity_telemetry t;
   register_probe_telemetry ~registry:t.registry t;
-  register_affinity_telemetry ~registry:t.registry t;
   t
 
-let parallel t = t.par
-(* The pool threads down to every shard engine: a shard task running
-   on a pool worker then forks its O3 morsel batches into that
-   worker's deque (Pool.map fork-join), where idle domains steal them
-   — the morsel path is stealable end to end instead of running
-   inline inside one shard task. *)
-let set_parallel t pool =
-  t.par <- pool;
-  Array.iter (fun e -> Engine.set_parallel e pool) t.shards
+(* Kept for bench/e2e only: queries run on the calling domain, so
+   there is no pool to attach and no fan-out harness to recycle. *)
+let set_parallel _ _ = ()
+let affinity_stats _ = (0, 0, 0)
+
 let probe_path t = t.probe_path
 
 (* Switch the default read path for [answer]; [Epoch] also threads down
@@ -314,8 +230,7 @@ let declare t schema ~part =
             invalid_arg
               (Printf.sprintf "Shard_router: %s has no attribute %s" rel attr))
   in
-  Hashtbl.replace t.parts rel part;
-  bump_ddl_epoch t
+  Hashtbl.replace t.parts rel part
 
 (* Create [schema]'s relation on every shard under [part]. *)
 let create_relation t schema ~part =
@@ -325,8 +240,7 @@ let create_relation t schema ~part =
 let create_index t ?kind ~rel ~name ~attrs () =
   Array.iter
     (fun e -> ignore (Catalog.create_index (Engine.catalog e) ?kind ~rel ~name ~attrs ()))
-    t.shards;
-  bump_ddl_epoch t
+    t.shards
 
 (* --- DML routing ------------------------------------------------------- *)
 
@@ -424,7 +338,6 @@ let create_view ?policy ?f_max ?capacity ?ub_bytes t compiled =
       pc_misses = counters ();
       pc_installs = counters ();
     };
-  bump_ddl_epoch t;
   views
 
 (* Shards a template's answer must consult: all of them as soon as any
@@ -469,226 +382,45 @@ let merge_stats (a : Pmv.Answer.stats) (b : Pmv.Answer.stats) =
     stale_purged = a.Pmv.Answer.stale_purged + b.Pmv.Answer.stale_purged;
   }
 
-(* Per-shard stream messages ([msg], declared with the affinity slot
-   type above) flow producer (shard task) to consumer (the merging
-   caller) over a bounded SPSC queue. Tuples travel in morsel batches,
-   not singly: the producer coalesces up to [tuple_batch] of them per
-   message, so the queue's mutex/condvar handshake is paid once per
-   chunk instead of once per tuple. [Done] carries the shard task's
-   finished span subtree when the query is traced: spans are built
-   shard-locally (each task owns its private trace, so no cross-domain
-   mutation) and grafted onto the caller's trace in shard order by the
-   consumer — one stitched tree per query. *)
-
-(* Tuples per [Batch] message. *)
-let tuple_batch = 64
-
-(* Bounds how far any shard can run ahead of the merge (backpressure),
-   in messages — up to [shard_stream_capacity * tuple_batch] buffered
-   tuples per shard; roomy enough that shards rarely stall on the
-   consumer. *)
-let shard_stream_capacity = 64
-
-(* Check out shard [i]'s fan-out harness, or build a cold one. The
-   atomic exchange means two concurrent queries over the same shard
-   never share a slot — the loser takes a fresh harness and counts a
-   miss. A hit hands the (possibly stolen) shard task the queue,
-   batch buffer and span label the previous fan-out warmed up. *)
-let aff_take t i =
-  let epoch = Atomic.get t.ddl_epoch in
-  match Atomic.exchange t.aff_slots.(i) None with
-  | Some slot when slot.aff_epoch = epoch ->
-      Atomic.incr t.astats.aff_hits;
-      slot
-  | prior ->
-      if Option.is_some prior then Atomic.incr t.astats.aff_invalidations
-      else Atomic.incr t.astats.aff_misses;
-      {
-        aff_queue = Spsc.create ~capacity:shard_stream_capacity;
-        aff_buf = Array.make tuple_batch (Pmv.Answer.Partial, [||]);
-        aff_label = Printf.sprintf "shard%d" i;
-        aff_epoch = epoch;
-      }
-
-(* Park the harness for the next fan-out — only once its queue is
-   fully drained (the consumer always pops through [Done]/[Fail], so
-   recycling never observes a non-empty queue). A slot that aged past
-   a DDL bump is dropped; a slot already re-parked by a racing query
-   is simply discarded. *)
-let aff_put t i slot =
-  if slot.aff_epoch = Atomic.get t.ddl_epoch then
-    ignore (Atomic.compare_and_set t.aff_slots.(i) None (Some slot))
-
-(* Parallel fan-out: one pool task per target shard, each answering on
-   its own single-owner engine and streaming through its own SPSC
-   queue. The consumer drains the queues in shard order, so the merged
-   stream is tuple-for-tuple the sequential one.
-
-   The merge cannot starve under work stealing — the argument that
-   replaced the old "pool dispatch is FIFO" invariant: shard tasks
-   enter the pool's injector in shard order and are *claimed* in that
-   order (a worker only takes injector work when its own deque is
-   empty, and deques hold only finite descendants of already-running
-   tasks), so when the consumer blocks on shard i every earlier
-   shard's task has already completed and shard i's task is running
-   or is the next external claim; thieves steal the oldest fork
-   first, so stolen morsel work inside a shard task finishes in fork
-   order too. Property-tested in test_parallel.ml (steal storms never
-   change the merged stream).
-
-   Early termination changes shape here: when [on_tuple] raises, shard
-   tasks cannot be cancelled, so remaining queues are drained and
-   discarded until every producer settles (a blocked producer would
-   otherwise poison the pool), then the first exception re-raises. *)
-let answer_parallel ?trace pool ~probe_path t targets instance ~on_tuple =
-  let traced = Option.is_some trace in
-  let queues = List.map (fun i -> (i, aff_take t i)) targets in
-  List.iter
-    (fun (i, slot) ->
-      let q = slot.aff_queue in
-      Pool.submit pool (fun () ->
-          (* Task-private span subtree: started on the worker domain,
-             finished before shipment, attached by the consumer. *)
-          let sub =
-            if not traced then None
-            else begin
-              let s = Span.start slot.aff_label in
-              Span.kv s "shard" (string_of_int i);
-              Span.kv s "domain" (string_of_int (Domain.self () :> int));
-              (match Pool.worker_index () with
-              | Some w -> Span.kv s "worker" (string_of_int w)
-              | None -> ());
-              Some s
-            end
-          in
-          let buf = slot.aff_buf in
-          let bn = ref 0 in
-          let flush () =
-            if !bn > 0 then begin
-              Spsc.push q (Batch (Array.sub buf 0 !bn));
-              bn := 0
-            end
-          in
-          let finished () =
-            Option.map
-              (fun s ->
-                Span.finish s;
-                Span.root s)
-              sub
-          in
-          match
-            Engine.answer ~probe_path ?trace:sub t.shards.(i) instance
-              ~on_tuple:(fun phase tuple ->
-                buf.(!bn) <- (phase, tuple);
-                incr bn;
-                if !bn = tuple_batch then flush ())
-          with
-          | stats, used ->
-              flush ();
-              Spsc.push q (Done (stats, used, finished ()))
-          | exception exn ->
-              (* tuples already delivered before the failure still
-                 reach the consumer, exactly as unbatched pushes did *)
-              ignore (finished ());
-              flush ();
-              Spsc.push q (Fail exn)))
-    queues;
-  let failure = ref None in
-  let note exn = if Option.is_none !failure then failure := Some exn in
-  let results =
-    List.map
-      (fun (i, slot) ->
-        let q = slot.aff_queue in
-        let rec drain () =
-          match Spsc.pop q with
-          | Batch items ->
-              Array.iter
-                (fun (phase, tuple) ->
-                  if Option.is_none !failure then
-                    try on_tuple phase tuple with exn -> note exn)
-                items;
-              drain ()
-          | Done (stats, used, sub) ->
-              (match (trace, sub) with
-              | Some tr, Some s -> Span.attach tr s
-              | _ -> ());
-              Some (stats, used)
-          | Fail exn ->
-              note exn;
-              None
-        in
-        let r = drain () in
-        (* producer settled (it pushed Done/Fail last) and the queue is
-           drained: safe to park the harness for the next fan-out *)
-        aff_put t i slot;
-        r)
-      queues
-  in
-  match !failure with
-  | Some exn -> raise exn
-  | None ->
-      List.fold_left
-        (fun acc r ->
-          match (acc, r) with
-          | None, r -> r
-          | acc, None -> acc
-          | Some (s, u), Some (s', u') -> Some (merge_stats s s', u && u'))
-        None results
-      |> Option.get
-
-(* Fan out to the target shards: parallel when a pool with >= 2 workers
-   is attached (or passed), >= 2 targets, no profile (Exec_stats trees
-   are single-owner) and the caller is not itself a pool worker (a
-   worker-side [submit] runs inline, so a worker-driven fan-out would
-   produce into its own un-drained SPSC queues); sequential otherwise.
-   Either way the merged stream is identical to the sequential one. *)
-let answer_fanout ?par ?profile ?trace ~probe_path t targets instance ~on_tuple =
-  let pool = match par with Some _ -> par | None -> t.par in
-  match pool with
-  | Some pool
-    when Pool.size pool >= 2 && List.length targets >= 2 && Option.is_none profile
-         && Pool.worker_index () = None ->
-      answer_parallel ?trace pool ~probe_path t targets instance ~on_tuple
-  | _ -> (
-      List.fold_left
-        (fun acc i ->
-          (* sequential fan-out: the shard span opens inline on the
-             caller's trace, same shape as the grafted parallel one *)
-          (match trace with
-          | Some tr ->
-              Span.enter tr (Printf.sprintf "shard%d" i);
-              Span.kv tr "shard" (string_of_int i);
-              Span.kv tr "domain" (string_of_int (Domain.self () :> int))
-          | None -> ());
-          let stats, used =
-            match Engine.answer ?profile ?trace ~probe_path t.shards.(i) instance ~on_tuple with
-            | r ->
-                Option.iter Span.leave trace;
-                r
-            | exception exn ->
-                Option.iter Span.leave trace;
-                raise exn
-          in
-          match acc with
-          | None -> Some (stats, used)
-          | Some (acc_stats, acc_used) ->
-              Some (merge_stats acc_stats stats, acc_used && used))
-        None targets
-      |> function
-      | Some r -> r
-      | None -> assert false (* targets is never empty *))
+(* Fan out to the target shards one after the other on the calling
+   domain, concatenating their streams in shard order. Each shard's
+   answer opens a [shard<i>] span on the caller's trace. *)
+let answer_fanout ?profile ?trace ~probe_path t targets instance ~on_tuple =
+  List.fold_left
+    (fun acc i ->
+      (match trace with
+      | Some tr ->
+          Span.enter tr (Printf.sprintf "shard%d" i);
+          Span.kv tr "shard" (string_of_int i)
+      | None -> ());
+      let stats, used =
+        match Engine.answer ?profile ?trace ~probe_path t.shards.(i) instance ~on_tuple with
+        | r ->
+            Option.iter Span.leave trace;
+            r
+        | exception exn ->
+            Option.iter Span.leave trace;
+            raise exn
+      in
+      match acc with
+      | None -> Some (stats, used)
+      | Some (acc_stats, acc_used) -> Some (merge_stats acc_stats stats, acc_used && used))
+    None targets
+  |> function
+  | Some r -> r
+  | None -> assert false (* targets is never empty *)
 
 (* The shard-local probe fast path: serve the whole query from the
    template's router-level probe cache when every bcp holds a trusted
    (complete, stamp-current) version in its owning segment. A hit
-   streams straight out of the segments — no fan-out, no merge, no pool
-   dispatch. A miss falls back to the full fan-out while capturing each
+   streams straight out of the segments — no fan-out, no merge. A miss
+   falls back to the full fan-out while capturing each
    exact bcp's merged delivered stream; when the summed stats prove the
    stream exact ([stale_purged = 0]), the captures install as complete
    answers stamped with the segments' pre-query stamps — a delta racing
    the query bumps a stamp first, so a losing install publishes
    already-untrusted. *)
-let answer_epoch ?par ?profile ?trace t pc instance ~on_tuple =
+let answer_epoch ?profile ?trace t pc instance ~on_tuple =
   let compiled = pc.pc_compiled in
   let ps = t.pstats in
   let nseg = Array.length pc.pc_segments in
@@ -806,8 +538,8 @@ let answer_epoch ?par ?profile ?trace t pc instance ~on_tuple =
     Option.iter (fun tr -> Span.enter tr "router.fallback") trace;
     let ((stats, _) as result) =
       match
-        answer_fanout ?par ?profile ?trace ~probe_path:Pmv.Answer.Locked t targets
-          instance ~on_tuple:capturing
+        answer_fanout ?profile ?trace ~probe_path:Pmv.Answer.Locked t targets instance
+          ~on_tuple:capturing
       with
       | r ->
           Option.iter Span.leave trace;
@@ -832,13 +564,9 @@ let answer_epoch ?par ?profile ?trace t pc instance ~on_tuple =
 (* Answer [instance] across the template's shards, streaming each
    shard's O2 partials and O3 remainder through [on_tuple]. Returns the
    summed stats and whether every consulted shard answered through a
-   view. With a pool attached ([set_parallel]) or passed ([par]) and at
-   least two target shards, the per-shard answers run concurrently;
-   profiled runs stay sequential (Exec_stats trees are single-owner).
-   Either way the merged stream is identical to the sequential one.
-   Under [probe_path = Epoch] (per call, or the [set_probe_path]
+   view. Under [probe_path = Epoch] (per call, or the [set_probe_path]
    default) the router first tries the shard-local probe fast path. *)
-let answer ?par ?profile ?probe_path ?trace t instance ~on_tuple =
+let answer ?profile ?probe_path ?trace t instance ~on_tuple =
   let compiled = Minirel_query.Instance.compiled instance in
   let path = match probe_path with Some p -> p | None -> t.probe_path in
   Option.iter
@@ -847,10 +575,10 @@ let answer ?par ?profile ?probe_path ?trace t instance ~on_tuple =
   match
     (path, Hashtbl.find_opt t.probe_caches compiled.Template.spec.Template.name)
   with
-  | Pmv.Answer.Epoch, Some pc -> answer_epoch ?par ?profile ?trace t pc instance ~on_tuple
+  | Pmv.Answer.Epoch, Some pc -> answer_epoch ?profile ?trace t pc instance ~on_tuple
   | _ ->
-      answer_fanout ?par ?profile ?trace ~probe_path:path t (template_shards t compiled)
-        instance ~on_tuple
+      answer_fanout ?profile ?trace ~probe_path:path t (template_shards t compiled) instance
+        ~on_tuple
 
 exception Enough
 
@@ -905,10 +633,8 @@ module Ordering = Minirel_query.Ordering
    Nothing is recomputed over the union: the per-shard streams are
    disjoint pieces of the global answer, the accumulators are
    associative, and AVG stays mergeable because it travels as
-   SUM+COUNT. With a pool attached the shard folds run concurrently
-   (group merging is order-insensitive, unlike the streamed tuple
-   order, so no in-order queue discipline is needed). *)
-let answer_grouped ?par ?probe_path t instance ~key ~aggs =
+   SUM+COUNT. *)
+let answer_grouped ?probe_path t instance ~key ~aggs =
   Pmv.Extensions.note_shape `Grouped;
   let compiled = Minirel_query.Instance.compiled instance in
   let path = match probe_path with Some p -> p | None -> t.probe_path in
@@ -982,13 +708,7 @@ let answer_grouped ?par ?probe_path t instance ~key ~aggs =
       used,
       captures )
   in
-  let pool = match par with Some _ -> par | None -> t.par in
-  let per_shard =
-    match pool with
-    | Some pool when Pool.size pool >= 2 && Array.length targets >= 2 ->
-        Pool.map pool shard_fold targets
-    | _ -> Array.map shard_fold targets
-  in
+  let per_shard = Array.map shard_fold targets in
   Array.fold_left
     (fun acc (p, g, s, u, _) ->
       match acc with
@@ -1181,8 +901,7 @@ let load_from t source =
           in
           create_index t ~rel ~name:(Minirel_index.Index.name idx) ~attrs ())
         (Catalog.indexes source rel))
-    (Catalog.relations source);
-  bump_ddl_epoch t
+    (Catalog.relations source)
 
 (* --- telemetry --------------------------------------------------------- *)
 

@@ -2,7 +2,8 @@
     {!Engine} instances. Base relations are either hash-partitioned by
     one attribute (in the intended layout the join key, so
     co-partitioned relations join shard-locally) or replicated to every
-    shard. DML routes to the owning shard; queries fan out and the
+    shard. DML routes to the owning shard; queries fan out over the
+    shards one after the other on the calling domain, and the
     partial/remaining streams merge with the DS exactly-once identity
     intact under summation. Each shard has private fault and telemetry
     scopes. *)
@@ -24,15 +25,8 @@ val n_shards : t -> int
 val shard : t -> int -> Engine.t
 val shards : t -> Engine.t list
 
-(** The attached Domain pool, if any. *)
-val parallel : t -> Minirel_parallel.Pool.t option
-
-(** Attach (or detach, with [None]) a Domain pool: {!answer} then
-    fans per-shard answers out to the pool's worker domains. The pool
-    also threads down to every shard engine ({!Engine.set_parallel}),
-    so a shard task forks its O3 morsel batches into its worker's
-    deque for idle domains to steal. The pool stays externally owned —
-    shut it down where it was created. *)
+(** Does nothing: every query runs on the calling domain. Kept only
+    because [bench/e2e] still calls it. *)
 val set_parallel : t -> Minirel_parallel.Pool.t option -> unit
 
 (** Default read path for {!answer} (initially {!Pmv.Answer.Locked});
@@ -69,19 +63,9 @@ val reset_probe_stats : t -> unit
     [{shard,template}] labels. *)
 val probe_cache_counters : t -> template:string -> (int * int * int) array
 
-(** Engine-affinity cache counters [(hits, misses, invalidations)]:
-    how often a parallel fan-out checked out a warm per-shard harness
-    (SPSC stream, tuple batch buffer, span label) left by a previous
-    fan-out, built a cold one, or discarded a slot stranded by a DDL
-    epoch bump. Also exported as the [router.affinity] telemetry
-    source, both process-global and in {!snapshot_merged}. *)
+(** Always [(0, 0, 0)]: there is no fan-out harness to recycle. Kept
+    only because [bench/e2e] still calls it. *)
 val affinity_stats : t -> int * int * int
-
-(** Monotonic schema-shape epoch: bumped by {!declare},
-    {!create_relation}, {!create_index}, {!create_view} and
-    {!load_from}; every affinity slot built under an older epoch is
-    invalidated. *)
-val ddl_epoch : t -> int
 
 type part = Hash of int  (** partition-key position *) | Replicated
 
@@ -151,45 +135,26 @@ val template_shards : t -> Minirel_query.Template.compiled -> int list
     latencies take the min; the DS identity survives summation. *)
 val merge_stats : Pmv.Answer.stats -> Pmv.Answer.stats -> Pmv.Answer.stats
 
-(** Tuples carried per SPSC message on the parallel fan-out path: each
-    worker hands its stream to the merger in chunks of this size, so
-    the queue's mutex/condvar round-trips amortize across a batch. *)
-val tuple_batch : int
-
 (** Answer across the template's shards, streaming every shard's O2
     partials and O3 remainder through [on_tuple]; returns the summed
-    stats and whether every consulted shard used a view.
-
-    With a pool attached ({!set_parallel}) or passed ([par]) and at
-    least two target shards, per-shard answers run concurrently on the
-    pool, each streaming through a bounded per-shard queue; the merge
-    consumes the queues in shard order, so the delivered stream is
-    tuple-for-tuple identical to the sequential one and the DS
-    identity still sums exactly. The in-order merge cannot starve
-    under the pool's work-stealing dispatch: shard tasks are claimed
-    off the injector in submission order, so the earliest undrained
-    shard's task is always completed, running, or the next claim (see
-    pool.mli). Profiled runs stay sequential. When [on_tuple] raises
-    in parallel mode, in-flight shards finish with their output
-    discarded before the exception re-raises.
+    stats and whether every consulted shard used a view. The shards
+    answer one after the other on the calling domain, in shard order.
 
     Under [probe_path = Epoch] (per call, or the {!set_probe_path}
     default) the router first tries the shard-local probe fast path:
     a query whose every bcp holds a trusted complete version in the
     template's router-level probe cache answers straight from the
-    owning segments — no fan-out, no merge, no pool dispatch. Misses
+    owning segments — no fan-out, no merge. Misses
     fall back to the full fan-out on the shards' classic locked path
     (the router-level cache subsumes per-shard fast paths) and install
     what the fallback's stale-purge count proves complete.
 
-    [trace] propagates a caller-owned trace context: the router stitches
+    [trace] propagates a caller-owned trace context: the router builds
     one span tree per query — a [router.probe] span under [Epoch], then
-    either the cache-hit stream or per-shard [shard<i>] subtrees (built
-    task-locally on the pool and grafted back in shard order) each
-    annotated with shard/domain/worker and the shard's own probe-path
-    spans. *)
+    either the cache-hit stream or one [shard<i>] subtree per consulted
+    shard, in shard order, each labelled with its shard and holding the
+    shard's own probe-path spans. *)
 val answer :
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Minirel_exec.Exec_stats.t ->
   ?probe_path:Pmv.Answer.probe_path ->
   ?trace:Minirel_telemetry.Span.trace ->
@@ -212,10 +177,8 @@ val answer_first_k :
     group by [Extensions.merge_groups] (no per-shard full recompute;
     AVG merges because it travels as SUM+COUNT). Returns the merged
     exact/partial groups with summed stats, and whether every shard
-    answered through a view. With a pool attached or passed the shard
-    folds run concurrently. *)
+    answered through a view. *)
 val answer_grouped :
-  ?par:Minirel_parallel.Pool.t ->
   ?probe_path:Pmv.Answer.probe_path ->
   t ->
   Minirel_query.Instance.t ->
@@ -269,8 +232,7 @@ val snapshots :
   t -> (string * (string * Minirel_telemetry.Registry.value) list) list
 
 (** One aggregated snapshot (counters/gauges add, histogram summaries
-    merge), including the router-level [router.probe] and
-    [router.affinity] sources. *)
+    merge), including the router-level [router.probe] source. *)
 val snapshot_merged : t -> (string * Minirel_telemetry.Registry.value) list
 
 (** Prometheus exposition of every shard with a [shard="i"] label on

@@ -82,8 +82,8 @@ let label = function
    catalog they count: each engine's registry reports only the queries
    run against that engine's catalog, resetting one scope leaves the
    others alone, and nothing global keeps a dropped engine's catalog
-   alive. The counters are atomic: morsel tasks on the pool open
-   cursors concurrently. *)
+   alive. The counters are atomic, so concurrent clients of one catalog
+   count exactly. *)
 let register_telemetry ?(registry = Minirel_telemetry.Registry.default)
     ?(name = "exec") catalog =
   let module R = Minirel_telemetry.Registry in
@@ -98,127 +98,29 @@ let register_telemetry ?(registry = Minirel_telemetry.Registry.default)
         ("root_tuples", R.Counter (Atomic.get root_tuples));
       ])
 
-(* --- morsel-driven parallel scans ---
+(* Hash-join build table: one pass over the inner heap; each bucket
+   keeps heap order. *)
+let join_table heap pred inner_key : Tuple.t list ref Tuple.Table.t =
+  let tbl : Tuple.t list ref Tuple.Table.t = Tuple.Table.create 1024 in
+  Heap_file.iter heap (fun _rid inner_t ->
+      if Predicate.eval pred inner_t then begin
+        let key = Tuple.project inner_t inner_key in
+        match Tuple.Table.find_opt tbl key with
+        | Some bucket -> bucket := inner_t :: !bucket
+        | None -> Tuple.Table.replace tbl key (ref [ inner_t ])
+      end);
+  Tuple.Table.iter (fun _ bucket -> bucket := List.rev !bucket) tbl;
+  tbl
 
-   When the executor owns a Domain pool (and profiling is off —
-   Exec_stats trees are single-owner), heap scans split their page
-   range into morsels executed on the pool. Work product order is
-   morsel order = page order, so every parallel stream below is
-   tuple-for-tuple identical to its sequential counterpart. *)
-
-module Pool = Minirel_parallel.Pool
-
-(* Morsel *batches* are the steal unit: ~8 batches per domain gives
-   thieves slack against uneven predicate selectivity (a domain stuck
-   on a dense range sheds whole batches, not single pages), while a
-   2-page floor keeps each batch coarse enough that a steal pays for
-   more than its CAS. The work-stealing pool made dispatch cheap
-   (deque push/pop instead of a global mutexed FIFO), which is what
-   affords a finer split than the old 4-per-domain one. *)
-let morsel_min_pages = 2
-
-let morsel_ranges ~n_pages ~domains =
-  if n_pages <= 0 then [||]
-  else begin
-    let target = max 1 (min (max 1 (n_pages / morsel_min_pages)) (8 * domains)) in
-    let per = (n_pages + target - 1) / target in
-    let n = (n_pages + per - 1) / per in
-    Array.init n (fun i -> (i * per, min n_pages (succ i * per)))
-  end
-
-(* A pool is only worth dispatching to with >= 2 workers. *)
-let par_active = function
-  | Some pool when Pool.size pool >= 2 -> Some pool
-  | _ -> None
-
-(* Scan pages [lo, hi), filter, keep page order. Runs on a pool worker;
-   buffer-pool I/O is charged from the worker (the pool is locked). *)
-let scan_morsel heap pred (lo, hi) =
-  let acc = ref [] in
-  for p = lo to hi - 1 do
-    Heap_file.iter_page heap p (fun _rid t ->
-        if Predicate.eval pred t then acc := t :: !acc)
-  done;
-  List.rev !acc
-
-(* Parallel hash-join build: per-morsel partial tables (buckets in
-   reversed page order, as in the sequential build), merged in morsel
-   order so every bucket ends up in global heap order. Falls back to
-   the sequential single-pass build without a pool. *)
-let join_table ?par heap pred inner_key : Tuple.t list ref Tuple.Table.t =
-  let bucket_add tbl inner_t =
-    let key = Tuple.project inner_t inner_key in
-    match Tuple.Table.find_opt tbl key with
-    | Some bucket -> bucket := inner_t :: !bucket
-    | None -> Tuple.Table.replace tbl key (ref [ inner_t ])
-  in
-  match par_active par with
-  | Some pool when Heap_file.n_pages heap >= 2 ->
-      let ranges =
-        morsel_ranges ~n_pages:(Heap_file.n_pages heap) ~domains:(Pool.size pool)
-      in
-      let partials =
-        Pool.map pool
-          (fun (lo, hi) ->
-            let tbl : Tuple.t list ref Tuple.Table.t = Tuple.Table.create 256 in
-            for p = lo to hi - 1 do
-              Heap_file.iter_page heap p (fun _rid inner_t ->
-                  if Predicate.eval pred inner_t then bucket_add tbl inner_t)
-            done;
-            tbl)
-          ranges
-      in
-      let tbl : Tuple.t list ref Tuple.Table.t = Tuple.Table.create 1024 in
-      Array.iter
-        (fun part ->
-          Tuple.Table.iter
-            (fun key bucket ->
-              let items = List.rev !bucket in
-              match Tuple.Table.find_opt tbl key with
-              | Some b -> b := !b @ items
-              | None -> Tuple.Table.replace tbl key (ref items))
-            part)
-        partials;
-      tbl
-  | _ ->
-      let tbl : Tuple.t list ref Tuple.Table.t = Tuple.Table.create 1024 in
-      Heap_file.iter heap (fun _rid inner_t ->
-          if Predicate.eval pred inner_t then bucket_add tbl inner_t);
-      Tuple.Table.iter (fun _ bucket -> bucket := List.rev !bucket) tbl;
-      tbl
-
-(* A cursor over a list materialised on the first pull, so upstream
-   I/O keeps being charged when the consumer actually runs. *)
-let lazy_list_cursor produce =
-  let state = ref None in
-  fun () ->
-    let cur =
-      match !state with
-      | Some cur -> cur
-      | None ->
-          let cur = Cursor.of_list (produce ()) in
-          state := Some cur;
-          cur
-    in
-    cur ()
-
-let rec op_cursor ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
+let rec op_cursor ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
   (* register before recursing so profile nodes appear in plan pre-order *)
   let node = Option.map (fun p -> Exec_stats.register p (label plan)) profile in
-  let c = build ?par ?profile catalog plan in
+  let c = build ?profile catalog plan in
   match node with None -> c | Some n -> Exec_stats.instrument n c
 
-and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
+and build ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
   match plan with
   | Plan.Literal ts -> Cursor.of_list ts
-  | Plan.Scan { rel; pred } when par_active par <> None ->
-      let pool = Option.get (par_active par) in
-      let heap = Catalog.heap catalog rel in
-      let n_pages = Heap_file.n_pages heap in
-      lazy_list_cursor (fun () ->
-          let ranges = morsel_ranges ~n_pages ~domains:(Pool.size pool) in
-          let parts = Pool.map pool (scan_morsel heap pred) ranges in
-          List.concat (Array.to_list parts))
   | Plan.Scan { rel; pred } ->
       let heap = Catalog.heap catalog rel in
       (* page by page through a reusable array batch; the page count
@@ -301,7 +203,7 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
   | Plan.Inlj { outer; rel; index; outer_key; pred } ->
       let heap = Catalog.heap catalog rel in
       let ix = find_index catalog ~rel ~name:index in
-      let out = op_cursor ?par ?profile catalog outer in
+      let out = op_cursor ?profile catalog outer in
       let current = ref ([||] : Tuple.t) in
       let pending = ref [] in
       let rec next () =
@@ -322,7 +224,7 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
       next
   | Plan.Nlj { outer; rel; eq; pred } ->
       let heap = Catalog.heap catalog rel in
-      op_cursor ?par ?profile catalog outer
+      op_cursor ?profile catalog outer
       |> Cursor.concat_map_list (fun outer_t ->
              let matches = ref [] in
              Heap_file.iter heap (fun _rid inner_t ->
@@ -333,53 +235,13 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
                         eq
                  then matches := Tuple.concat outer_t inner_t :: !matches);
              List.rev !matches)
-  | Plan.Hash_join
-      { outer = Plan.Scan { rel = orel; pred = opred }; rel; outer_key; inner_key; pred }
-    when par_active par <> None ->
-      (* both join phases morsel-parallel: build the shared table from
-         inner morsels, then probe outer morsels against it. After the
-         build the table is read-only, so concurrent probes need no
-         lock; output concatenates in morsel order = page order, so the
-         stream matches the sequential join tuple for tuple. *)
-      let pool = Option.get (par_active par) in
-      let heap = Catalog.heap catalog rel in
-      let oheap = Catalog.heap catalog orel in
-      lazy_list_cursor (fun () ->
-          let table = join_table ?par heap pred inner_key in
-          let ranges =
-            morsel_ranges ~n_pages:(Heap_file.n_pages oheap)
-              ~domains:(Pool.size pool)
-          in
-          let parts =
-            Pool.map pool
-              (fun (lo, hi) ->
-                let acc = ref [] in
-                for p = lo to hi - 1 do
-                  Heap_file.iter_page oheap p (fun _rid outer_t ->
-                      if Predicate.eval opred outer_t then
-                        match
-                          Tuple.Table.find_opt table
-                            (Tuple.project outer_t outer_key)
-                        with
-                        | Some bucket ->
-                            List.iter
-                              (fun inner_t ->
-                                acc := Tuple.concat outer_t inner_t :: !acc)
-                              !bucket
-                        | None -> ())
-                done;
-                List.rev !acc)
-              ranges
-          in
-          List.concat (Array.to_list parts))
   | Plan.Hash_join { outer; rel; outer_key; inner_key; pred } ->
       let heap = Catalog.heap catalog rel in
       (* build side hashed once per cursor open, on the first pull so
          upstream I/O is charged when the join runs; buckets keep heap
-         order, so results match the Nlj fallback exactly. The build
-         itself morsel-parallelises when a pool is present. *)
-      let table = lazy (join_table ?par heap pred inner_key) in
-      let out = op_cursor ?par ?profile catalog outer in
+         order, so results match the Nlj fallback exactly *)
+      let table = lazy (join_table heap pred inner_key) in
+      let out = op_cursor ?profile catalog outer in
       let current = ref ([||] : Tuple.t) in
       let pending = ref [] in
       let rec next () =
@@ -403,11 +265,11 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
       in
       next
   | Plan.Filter (pred, inner) ->
-      Cursor.filter (Predicate.eval pred) (op_cursor ?par ?profile catalog inner)
+      Cursor.filter (Predicate.eval pred) (op_cursor ?profile catalog inner)
   | Plan.Project (positions, inner) ->
       Cursor.map
         (fun t -> Tuple.project t positions)
-        (op_cursor ?par ?profile catalog inner)
+        (op_cursor ?profile catalog inner)
   | Plan.Sort { keys; desc; input } ->
       (* blocking: drain, sort, stream. Materialisation is delayed until
          the first pull so upstream I/O is charged when the sort runs. *)
@@ -416,7 +278,7 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
         let c = Tuple.compare (Tuple.project a keys) (Tuple.project b keys) in
         if desc then -c else c
       in
-      let inner = op_cursor ?par ?profile catalog input in
+      let inner = op_cursor ?profile catalog input in
       fun () ->
         let cur =
           match !sorted with
@@ -429,7 +291,7 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
         cur ()
   | Plan.Limit (n, input) ->
       let remaining = ref n in
-      let inner = op_cursor ?par ?profile catalog input in
+      let inner = op_cursor ?profile catalog input in
       fun () ->
         if !remaining <= 0 then None
         else begin
@@ -437,7 +299,7 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
           inner ()
         end
   | Plan.Aggregate { group_by; aggs; input } ->
-      let inner = op_cursor ?par ?profile catalog input in
+      let inner = op_cursor ?profile catalog input in
       let materialized = ref None in
       fun () ->
         let cur =
@@ -478,10 +340,8 @@ and build ?par ?profile catalog (plan : Plan.t) : Tuple.t Cursor.t =
 (* Public entry: the root cursor additionally feeds the catalog's
    executor counters. The per-tuple wrapper is built only while
    telemetry is enabled, so the disabled mode pays nothing per pull. *)
-let cursor ?par ?profile catalog plan =
-  (* profiled runs stay sequential: Exec_stats trees are single-owner *)
-  let par = if profile = None then par else None in
-  let c = op_cursor ?par ?profile catalog plan in
+let cursor ?profile catalog plan =
+  let c = op_cursor ?profile catalog plan in
   if not (Minirel_telemetry.Telemetry.is_enabled ()) then c
   else begin
     let root_tuples = Catalog.root_tuples catalog in
@@ -494,7 +354,5 @@ let cursor ?par ?profile catalog plan =
       | None -> None
   end
 
-let run_to_list ?par ?profile catalog plan =
-  Cursor.to_list (cursor ?par ?profile catalog plan)
-
-let count ?par ?profile catalog plan = Cursor.count (cursor ?par ?profile catalog plan)
+let run_to_list ?profile catalog plan = Cursor.to_list (cursor ?profile catalog plan)
+let count ?profile catalog plan = Cursor.count (cursor ?profile catalog plan)

@@ -5,33 +5,23 @@
 
     Passing [profile] registers one {!Exec_stats} node per plan operator
     and counts rows/time through each; omitting it leaves the cursors
-    uninstrumented.
-
-    Passing [par] enables morsel-driven parallelism: heap scans and
-    hash-join build/probe phases split their page range into morsels
-    executed on the Domain pool. Results are tuple-for-tuple identical
-    to the sequential cursor (morsels merge in page order). Ignored
-    when [profile] is also given — {!Exec_stats} trees are
-    single-owner — or when the pool has fewer than 2 workers. *)
+    uninstrumented. *)
 
 (** @raise Invalid_argument on plans naming unknown indexes;
     @raise Not_found on unknown relations. *)
 val cursor :
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Exec_stats.t ->
   Minirel_index.Catalog.t ->
   Plan.t ->
   Minirel_storage.Tuple.t Cursor.t
 
 val run_to_list :
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Exec_stats.t ->
   Minirel_index.Catalog.t ->
   Plan.t ->
   Minirel_storage.Tuple.t list
 
 val count :
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Exec_stats.t ->
   Minirel_index.Catalog.t ->
   Plan.t ->

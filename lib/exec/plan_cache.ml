@@ -30,45 +30,22 @@ type entry = {
 }
 
 type t = {
-  id : int;  (* distinguishes caches in the domain-local shadow *)
   catalog : Catalog.t;
   mutable stats : Stats.t option;
   mutable stats_epoch : int;
   mutable enabled : bool;
   table : (string * int, entry) Hashtbl.t;  (* (template, driver) -> entry *)
   counters : counters;
-  shadow_hits : int Atomic.t;  (* hits served from a domain-local shadow *)
 }
-
-(* Domain-local shadow of recently-bound skeletons, keyed by (cache id,
-   template, driver). A stolen shard task landing on a new domain
-   re-validates against the same catalog version and stats epoch as
-   the shared table — the DDL/epoch bump *is* the invalidation — but a
-   warm shadow answers without touching the engine-owned Hashtbl from
-   another domain. Skeletons are immutable once compiled, so sharing
-   them across domains is safe. Only pool worker domains use the
-   shadow (that is where cross-domain traffic exists; the owning
-   caller's sequential path keeps its exact counter semantics).
-   Bounded: the whole shadow resets when it would outgrow
-   [shadow_cap] (a domain touches a handful of (engine, template)
-   pairs; the reset is a cold-start, not a leak). *)
-let shadow : (int * string * int, entry) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let shadow_cap = 256
-
-let next_id = Atomic.make 0
 
 let create ?stats catalog =
   {
-    id = Atomic.fetch_and_add next_id 1;
     catalog;
     stats;
     stats_epoch = 0;
     enabled = true;
     table = Hashtbl.create 16;
     counters = { hits = 0; misses = 0; invalidations = 0; fallbacks = 0 };
-    shadow_hits = Atomic.make 0;
   }
 
 let enabled t = t.enabled
@@ -100,50 +77,23 @@ let plan t instance =
           Option.value ~default:(-1) (Planner.driver_index ?stats:t.stats t.catalog instance)
         )
       in
-      let on_worker = Minirel_parallel.Pool.worker_index () <> None in
-      let skey = (t.id, fst key, snd key) in
-      let sh = if on_worker then Some (Domain.DLS.get shadow) else None in
-      let shadow_entry =
-        match sh with
-        | None -> None
-        | Some sh -> (
-            match Hashtbl.find_opt sh skey with
-            | Some e
-              when e.catalog_version = Catalog.version t.catalog
-                   && e.stats_epoch = t.stats_epoch ->
-                (* domain-local hit: no shared-table touch at all *)
-                Atomic.incr t.shadow_hits;
-                Some e
-            | _ -> None)
-      in
       let entry =
-        match shadow_entry with
-        | Some e -> e
+        match Hashtbl.find_opt t.table key with
+        | Some e
+          when e.catalog_version = Catalog.version t.catalog && e.stats_epoch = t.stats_epoch
+          ->
+            t.counters.hits <- t.counters.hits + 1;
+            e
+        | Some _ ->
+            (* indexes or statistics changed since compilation *)
+            t.counters.invalidations <- t.counters.invalidations + 1;
+            let e = compile t instance in
+            Hashtbl.replace t.table key e;
+            e
         | None ->
-            let e =
-              match Hashtbl.find_opt t.table key with
-              | Some e
-                when e.catalog_version = Catalog.version t.catalog
-                     && e.stats_epoch = t.stats_epoch ->
-                  t.counters.hits <- t.counters.hits + 1;
-                  e
-              | Some _ ->
-                  (* indexes or statistics changed since compilation *)
-                  t.counters.invalidations <- t.counters.invalidations + 1;
-                  let e = compile t instance in
-                  Hashtbl.replace t.table key e;
-                  e
-              | None ->
-                  t.counters.misses <- t.counters.misses + 1;
-                  let e = compile t instance in
-                  Hashtbl.replace t.table key e;
-                  e
-            in
-            Option.iter
-              (fun sh ->
-                if Hashtbl.length sh >= shadow_cap then Hashtbl.reset sh;
-                Hashtbl.replace sh skey e)
-              sh;
+            t.counters.misses <- t.counters.misses + 1;
+            let e = compile t instance in
+            Hashtbl.replace t.table key e;
             e
       in
       Planner.bind entry.skeleton (Instance.params instance)
@@ -159,14 +109,14 @@ let counters_to_list c =
     ("fallbacks", c.fallbacks);
   ]
 
-let shadow_hits t = Atomic.get t.shadow_hits
+(* Kept for bench/e2e only: there is no domain-local shadow. *)
+let shadow_hits _ = 0
 
 let reset_counters t =
   t.counters.hits <- 0;
   t.counters.misses <- 0;
   t.counters.invalidations <- 0;
-  t.counters.fallbacks <- 0;
-  Atomic.set t.shadow_hits 0
+  t.counters.fallbacks <- 0
 
 let register_telemetry ?(registry = Minirel_telemetry.Registry.default)
     ?(name = "plancache") t =
@@ -176,7 +126,6 @@ let register_telemetry ?(registry = Minirel_telemetry.Registry.default)
     (fun () ->
       List.map (fun (k, v) -> (k, R.Counter v)) (counters_to_list t.counters)
       @ [
-          ("shadow_hits", R.Counter (Atomic.get t.shadow_hits));
           ("entries", R.Gauge (float_of_int (size t)));
           ("enabled", R.Gauge (if t.enabled then 1.0 else 0.0));
         ])

@@ -4,14 +4,7 @@
     {!set_stats}). A hit binds parameters in O(params); cached skeletons
     are compiled with the fast path ([~fast:true]), so index-less join
     edges run as hash joins instead of naive nested loops. Any error
-    falls back to the uncached planner.
-
-    Each domain additionally keeps a bounded domain-local shadow of
-    the skeletons it bound recently (keyed by cache identity), so a
-    shard task stolen onto another domain revalidates and binds from
-    its own shadow instead of probing the engine-owned table across
-    domains. Shadow entries obey the same catalog-version and
-    stats-epoch invalidation; {!shadow_hits} counts them. *)
+    falls back to the uncached planner. *)
 
 type t
 
@@ -43,16 +36,14 @@ val clear : t -> unit
 
 val counters : t -> counters
 
-(** Hits served from the calling-domain shadow (no shared-table
-    probe); steady-state total hits = [counters.hits + shadow_hits].
-    Exported as the [shadow_hits] counter of the telemetry source. *)
+(** Always 0: there is no domain-local shadow. Kept only because
+    [bench/e2e] still calls it. *)
 val shadow_hits : t -> int
 
 (** Stable name/value pairs for telemetry registration. *)
 val counters_to_list : counters -> (string * int) list
 
-(** Zero the hit/miss/invalidation/fallback counters (including
-    {!shadow_hits}). *)
+(** Zero the hit/miss/invalidation/fallback counters. *)
 val reset_counters : t -> unit
 
 (** Register this cache as telemetry source [name] (default

@@ -17,7 +17,7 @@
    Writer-side state (the retire list) is mutex-protected: retirement is
    the store's mutation path, which is single-writer by engine design,
    but the mutex keeps the stats and list coherent even if two stores'
-   writers share a domain pool. Reader slots are plain atomics — enter
+   writers run on different domains. Reader slots are plain atomics — enter
    and leave are a CAS and a store, never a lock. *)
 
 type t = {

@@ -1,482 +1,6 @@
-(* A fixed-size Domain pool with work-stealing dispatch. [create
-   ~domains] spawns that many worker domains once. External callers
-   (the shard router, benches, pmvctl) enqueue into one FIFO injector;
-   each worker also owns a bounded Chase-Lev-style deque for tasks it
-   forks itself (nested [map] fan-out: morsel batches inside a shard
-   task). Owners push/pop the bottom of their deque LIFO for cache
-   locality; idle workers steal the oldest task off another worker's
-   top, so a long shard task's morsels spread across domains instead
-   of queueing behind it.
+type t = unit
+type stats = { submitted : int; steals : int; parks : int }
 
-   Non-starvation (replaces the old "FIFO is load-bearing" invariant):
-   the shard router's streaming merge drains per-shard queues in shard
-   order, so the task for the earliest undrained shard must never be
-   buried. Three properties keep it runnable:
-     1. the injector is a strict FIFO and idle workers always drain it
-        before stealing, so external tasks are *claimed* in submission
-        order (the claimed set is always a prefix);
-     2. deques only ever hold descendants of a task that is already
-        running (nested fan-out), and every such task tree is finite,
-        so a busy worker returns to the injector after finitely many
-        local pops;
-     3. thieves steal the *oldest* deque entry, so even stolen work
-        preserves fork order within a tree.
-   Hence whenever the merge consumer is blocked on shard i, every
-   earlier shard's task has already completed (prefix claiming), and
-   shard i's task is either running or at the injector front — the
-   next claim anywhere. Property-tested in test_parallel.ml.
-
-   Parking: instead of one global condvar guarding the queue, idle
-   workers park on a parking lot keyed by a [work_seq] generation
-   counter. A worker that finds nothing re-reads [work_seq] under the
-   lot's mutex before sleeping; every enqueue bumps [work_seq] before
-   signalling, so the "scanned empty, then work arrived, then slept"
-   lost-wakeup interleaving is impossible. Workers do not spin before
-   parking — on a 1-core host a spinning worker only steals the
-   timeslice of the caller that is about to feed it.
-
-   Calls into the pool from inside one of its own workers run on the
-   worker's own deque ([map]: fork-join, thieves may help) or inline
-   ([submit]) — blocking a worker on work only other workers could
-   take is how nested fan-out deadlocks. *)
-
-type task = unit -> unit
-
-(* Bounded work-stealing deque. The owner pushes and pops [bottom];
-   thieves CAS [top] forward. Slot values are [option] atomics so a
-   thief can pre-read the value *before* claiming it with the CAS —
-   claiming first and exchanging after loses tasks when the owner
-   wraps the ring between the two steps. While [top = t], the physical
-   slot [t land mask] can only hold index [t]'s value (a push reusing
-   it would need [bottom - top >= capacity], which push rejects), so a
-   pre-read value confirmed by a successful CAS is owned exactly once.
-   Thieves never clear stolen slots (a late clear could destroy a
-   value the owner re-published after wraparound), so up to [capacity]
-   consumed closures stay reachable until overwritten — bounded
-   retention, accepted. *)
-module Deque = struct
-  type 'a t = {
-    slots : 'a option Atomic.t array;
-    mask : int;
-    top : int Atomic.t;  (* next index to steal; never decreases *)
-    bottom : int Atomic.t;  (* next index to push; owner-written *)
-  }
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Deque.create: capacity must be >= 1";
-    let cap = ref 1 in
-    while !cap < capacity do
-      cap := !cap * 2
-    done;
-    {
-      slots = Array.init !cap (fun _ -> Atomic.make None);
-      mask = !cap - 1;
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-    }
-
-  let capacity t = Array.length t.slots
-  let length t = max 0 (Atomic.get t.bottom - Atomic.get t.top)
-
-  (* Owner only. [false] when full — callers run the task inline. *)
-  let push t v =
-    let b = Atomic.get t.bottom and tp = Atomic.get t.top in
-    if b - tp >= Array.length t.slots then false
-    else begin
-      Atomic.set t.slots.(b land t.mask) (Some v);
-      Atomic.set t.bottom (b + 1);  (* publishes the slot to thieves *)
-      true
-    end
-
-  (* Owner only: LIFO pop of the newest entry. *)
-  let pop t =
-    let b = Atomic.get t.bottom - 1 in
-    Atomic.set t.bottom b;  (* announce intent before reading top *)
-    let tp = Atomic.get t.top in
-    if b < tp then begin
-      Atomic.set t.bottom tp;  (* empty: restore canonical state *)
-      None
-    end
-    else if b > tp then begin
-      (* >= 2 entries: index [b] is out of thieves' reach *)
-      let v = Atomic.get t.slots.(b land t.mask) in
-      Atomic.set t.slots.(b land t.mask) None;
-      v
-    end
-    else begin
-      (* last entry: race any thief for index [tp] via the top CAS *)
-      let won = Atomic.compare_and_set t.top tp (tp + 1) in
-      let v =
-        if won then begin
-          let v = Atomic.get t.slots.(b land t.mask) in
-          Atomic.set t.slots.(b land t.mask) None;
-          v
-        end
-        else None
-      in
-      Atomic.set t.bottom (tp + 1);
-      v
-    end
-
-  (* Any domain: FIFO steal of the oldest entry. *)
-  let rec steal t =
-    let tp = Atomic.get t.top in
-    let b = Atomic.get t.bottom in
-    if b - tp <= 0 then None
-    else
-      match Atomic.get t.slots.(tp land t.mask) with
-      | None ->
-          (* the slot was consumed between our top/bottom reads; if top
-             moved someone raced us, retry against the new state *)
-          if Atomic.get t.top = tp then None else steal t
-      | Some v -> if Atomic.compare_and_set t.top tp (tp + 1) then Some v else steal t
-end
-
-type stats = {
-  submitted : int;  (* tasks enqueued (injector + forked + inline) *)
-  local_hits : int;  (* worker popped its own deque *)
-  injector_hits : int;  (* worker took the global FIFO front *)
-  steals : int;  (* worker stole from another worker's deque *)
-  parks : int;  (* worker went to sleep on the parking lot *)
-  task_exns : int;  (* fire-and-forget tasks that raised (satellite fix:
-                       these used to vanish in [try task () with _ -> ()]) *)
-}
-
-type t = {
-  id : int;  (* distinguishes pools for the worker-of-this-pool check *)
-  injector : task Queue.t;  (* external submissions, strict FIFO *)
-  inj_lock : Mutex.t;
-  deques : task Deque.t array;  (* one per worker, worker-forked tasks *)
-  work_seq : int Atomic.t;  (* bumped after every enqueue anywhere *)
-  park_lock : Mutex.t;
-  park_cv : Condition.t;
-  mutable n_parked : int;  (* guarded by park_lock *)
-  stopping : bool Atomic.t;
-  mutable workers : unit Domain.t array;
-  (* scheduler counters, exported via [stats]/[register_telemetry] *)
-  c_submitted : int Atomic.t;
-  c_local : int Atomic.t;
-  c_injector : int Atomic.t;
-  c_steals : int Atomic.t;
-  c_parks : int Atomic.t;
-  c_task_exns : int Atomic.t;
-}
-
-let next_pool_id = Atomic.make 0
-
-(* Domain-local flag marking pool workers; [map]/[run_all] from inside
-   any pool's worker use the worker-side (fork-join or inline) path. *)
-let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-(* Domain-local worker index (-1 outside a pool worker), so tracing can
-   attribute a task's spans to the domain that ran it. *)
-let worker_ix : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
-
-(* Domain-local id of the pool this worker belongs to (-1 outside), so
-   a worker of pool A calling into pool B is treated as an external
-   caller of B, not an owner of one of B's deques. *)
-let worker_pool : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
-
-let worker_index () =
-  match Domain.DLS.get worker_ix with -1 -> None | i -> Some i
-
-let my_worker_slot t =
-  if Domain.DLS.get worker_pool = t.id then Domain.DLS.get worker_ix else -1
-
-let note_task_exn t =
-  Atomic.incr t.c_task_exns;
-  Minirel_telemetry.Flight.record Minirel_telemetry.Flight.Task_exn
-    ~a:(max 0 (Domain.DLS.get worker_ix))
-
-(* Wake parked workers after an enqueue. [work_seq] must already be
-   bumped: a worker that scanned empty re-checks it under [park_lock]
-   before sleeping, so either it sees the bump and rescans, or it is
-   already parked and this signal reaches it. *)
-let wake t ~all =
-  Mutex.lock t.park_lock;
-  if t.n_parked > 0 then
-    if all then Condition.broadcast t.park_cv else Condition.signal t.park_cv;
-  Mutex.unlock t.park_lock
-
-let take_injector t =
-  Mutex.lock t.inj_lock;
-  let v = Queue.take_opt t.injector in
-  Mutex.unlock t.inj_lock;
-  v
-
-(* One full scan for work, in non-starvation priority order: own deque
-   (LIFO, cache-warm), then the injector front (FIFO claim keeps the
-   shard-merge prefix property), then steal the oldest entry from
-   another worker, starting after ourselves so victims rotate. *)
-let find_task t ix =
-  match Deque.pop t.deques.(ix) with
-  | Some task ->
-      Atomic.incr t.c_local;
-      Some task
-  | None -> (
-      match take_injector t with
-      | Some task ->
-          Atomic.incr t.c_injector;
-          Some task
-      | None ->
-          let n = Array.length t.deques in
-          let rec try_victim k =
-            if k >= n then None
-            else
-              let v = (ix + k) mod n in
-              match Deque.steal t.deques.(v) with
-              | Some task ->
-                  Atomic.incr t.c_steals;
-                  Minirel_telemetry.Flight.record
-                    Minirel_telemetry.Flight.Sched_steal ~a:ix ~b:v;
-                  Some task
-              | None -> try_victim (k + 1)
-          in
-          try_victim 1)
-
-let worker_loop t ix =
-  Domain.DLS.set in_worker true;
-  Domain.DLS.set worker_ix ix;
-  Domain.DLS.set worker_pool t.id;
-  let rec loop () =
-    let seen = Atomic.get t.work_seq in
-    match find_task t ix with
-    | Some task ->
-        (* tasks own their exceptions ([map] funnels them to the
-           caller); never let one kill a worker — but count the escape
-           and leave a flight event instead of dropping it silently *)
-        (try task () with _ -> note_task_exn t);
-        loop ()
-    | None ->
-        if Atomic.get t.stopping then ()  (* stopping and drained: exit *)
-        else begin
-          Mutex.lock t.park_lock;
-          if Atomic.get t.work_seq = seen && not (Atomic.get t.stopping) then begin
-            t.n_parked <- t.n_parked + 1;
-            Atomic.incr t.c_parks;
-            Condition.wait t.park_cv t.park_lock;
-            t.n_parked <- t.n_parked - 1
-          end;
-          Mutex.unlock t.park_lock;
-          loop ()
-        end
-  in
-  loop ()
-
-(* Worker deques are sized for nested fan-out (morsel batches per
-   shard task: tens, not thousands); overflow runs inline, which is
-   always safe. *)
-let deque_capacity = 256
-
-let create ~domains =
-  if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  let t =
-    {
-      id = Atomic.fetch_and_add next_pool_id 1;
-      injector = Queue.create ();
-      inj_lock = Mutex.create ();
-      deques = Array.init domains (fun _ -> Deque.create ~capacity:deque_capacity);
-      work_seq = Atomic.make 0;
-      park_lock = Mutex.create ();
-      park_cv = Condition.create ();
-      n_parked = 0;
-      stopping = Atomic.make false;
-      workers = [||];
-      c_submitted = Atomic.make 0;
-      c_local = Atomic.make 0;
-      c_injector = Atomic.make 0;
-      c_steals = Atomic.make 0;
-      c_parks = Atomic.make 0;
-      c_task_exns = Atomic.make 0;
-    }
-  in
-  t.workers <- Array.init domains (fun i -> Domain.spawn (fun () -> worker_loop t i));
-  t
-
-let size t = Array.length t.workers
-
-let stats t =
-  {
-    submitted = Atomic.get t.c_submitted;
-    local_hits = Atomic.get t.c_local;
-    injector_hits = Atomic.get t.c_injector;
-    steals = Atomic.get t.c_steals;
-    parks = Atomic.get t.c_parks;
-    task_exns = Atomic.get t.c_task_exns;
-  }
-
-let reset_stats t =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [ t.c_submitted; t.c_local; t.c_injector; t.c_steals; t.c_parks; t.c_task_exns ]
-
-(* the registry prefixes the source name, so the exported series are
-   pool.sched.{submitted,...} and pool.task_exn *)
-let register_telemetry t reg =
-  Minirel_telemetry.Registry.register_source reg ~name:"pool"
-    ~reset:(fun () -> reset_stats t)
-    (fun () ->
-      let s = stats t in
-      let c v = Minirel_telemetry.Registry.Counter v in
-      [
-        ("sched.submitted", c s.submitted);
-        ("sched.local_hits", c s.local_hits);
-        ("sched.injector_hits", c s.injector_hits);
-        ("sched.steals", c s.steals);
-        ("sched.parks", c s.parks);
-        ("task_exn", c s.task_exns);
-      ])
-
-let check_open t name =
-  if Atomic.get t.stopping then
-    invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" name)
-
-(* Enqueue externally-submitted tasks. The [stopping] check happens
-   under [inj_lock] and [shutdown] flips [stopping] under the same
-   lock, so a push that passed the check is visible to the workers'
-   stopping-time drain — no task can slip in after the drain. *)
-let inject t name tasks =
-  Mutex.lock t.inj_lock;
-  if Atomic.get t.stopping then begin
-    Mutex.unlock t.inj_lock;
-    invalid_arg (Printf.sprintf "Pool.%s: pool is shut down" name)
-  end;
-  List.iter (fun task -> Queue.push task t.injector) tasks;
-  Mutex.unlock t.inj_lock;
-  Atomic.incr t.work_seq;
-  wake t ~all:(match tasks with _ :: _ :: _ -> true | _ -> false)
-
-(* Fire-and-forget. From inside one of this pool's own workers (or any
-   other pool's worker) the task runs inline — a nested submit must
-   not wait on queue space or scheduling that only this very worker
-   could provide. *)
-let submit t task =
-  check_open t "submit";
-  Atomic.incr t.c_submitted;
-  if Domain.DLS.get in_worker then (try task () with _ -> note_task_exn t)
-  else inject t "submit" [ task ]
-
-(* Fork-join [map] from inside one of this pool's own workers: fork
-   every subtask onto the caller's own deque (reverse order, so LIFO
-   pops run them in index order), then drain the deque; idle workers
-   steal the oldest forks meanwhile. When the deque runs dry but
-   stolen subtasks are still in flight, wait on the per-call latch —
-   every completion signals it, and a fork sitting in our own deque
-   can only be popped by us or stolen, so the wait cannot deadlock. *)
-let map_fork_join t ix f arr =
-  let n = Array.length arr in
-  let dq = t.deques.(ix) in
-  let results = Array.make n None in
-  let exns = Array.make n None in
-  let lock = Mutex.create () in
-  let settled = Condition.create () in
-  let remaining = ref n in
-  let subtask i () =
-    (match f arr.(i) with
-    | r -> results.(i) <- Some r
-    | exception e -> exns.(i) <- Some e);
-    Mutex.lock lock;
-    decr remaining;
-    if !remaining = 0 then Condition.signal settled;
-    Mutex.unlock lock
-  in
-  ignore (Atomic.fetch_and_add t.c_submitted n);
-  let forked = ref false in
-  for i = n - 1 downto 0 do
-    if Deque.push dq (subtask i) then forked := true else subtask i ()
-  done;
-  if !forked then begin
-    Atomic.incr t.work_seq;
-    wake t ~all:true
-  end;
-  let unsettled () =
-    Mutex.lock lock;
-    let r = !remaining > 0 in
-    Mutex.unlock lock;
-    r
-  in
-  let rec drain () =
-    if unsettled () then
-      match Deque.pop dq with
-      | Some task ->
-          (* ours, or an outer fork-join's subtask on this worker —
-             either way running it makes progress *)
-          Atomic.incr t.c_local;
-          (try task () with _ -> note_task_exn t);
-          drain ()
-      | None ->
-          (* all our remaining forks were stolen and are running
-             elsewhere; their completions signal the latch *)
-          Mutex.lock lock;
-          while !remaining > 0 do
-            Condition.wait settled lock
-          done;
-          Mutex.unlock lock
-  in
-  drain ();
-  Array.iter (function Some e -> raise e | None -> ()) exns;
-  Array.map (fun r -> Option.get r) results
-
-(* [map] from an external caller: batch the tasks into the injector
-   under one lock acquisition and block on a per-call latch (the old
-   pool woke every waiter through one shared condvar per settle). *)
-let map_external t f arr =
-  let n = Array.length arr in
-  let results = Array.make n None in
-  let exns = Array.make n None in
-  let lock = Mutex.create () in
-  let settled = Condition.create () in
-  let remaining = ref n in
-  let task i () =
-    (match f arr.(i) with
-    | r -> results.(i) <- Some r
-    | exception e -> exns.(i) <- Some e);
-    Mutex.lock lock;
-    decr remaining;
-    if !remaining = 0 then Condition.signal settled;
-    Mutex.unlock lock
-  in
-  ignore (Atomic.fetch_and_add t.c_submitted n);
-  inject t "map" (List.init n (fun i -> task i));
-  Mutex.lock lock;
-  while !remaining > 0 do
-    Condition.wait settled lock
-  done;
-  Mutex.unlock lock;
-  Array.iter (function Some e -> raise e | None -> ()) exns;
-  Array.map (fun r -> Option.get r) results
-
-(* Run [f] on every element, workers executing tasks concurrently; the
-   caller blocks until all settle. Exceptions re-raise in index order
-   (the lowest-index failure wins, matching what a sequential
-   [Array.map] would have raised first); later tasks still run. *)
-let map t f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else if n = 1 then Array.map f arr
-  else begin
-    check_open t "map";
-    let slot = my_worker_slot t in
-    if slot >= 0 then map_fork_join t slot f arr
-    else if Domain.DLS.get in_worker then
-      (* a *different* pool's worker: run inline — parking this worker
-         on another pool's scheduling is how cross-pool waits deadlock *)
-      Array.map f arr
-    else map_external t f arr
-  end
-
-let run_all t thunks = ignore (map t (fun f -> f ()) (Array.of_list thunks))
-
-(* Graceful teardown: queued tasks drain (workers keep scanning the
-   injector and every deque until both are empty), then every worker
-   exits and is joined. Idempotent. *)
-let shutdown t =
-  Mutex.lock t.inj_lock;
-  Atomic.set t.stopping true;
-  Mutex.unlock t.inj_lock;
-  Atomic.incr t.work_seq;
-  Mutex.lock t.park_lock;
-  Condition.broadcast t.park_cv;
-  Mutex.unlock t.park_lock;
-  Array.iter Domain.join t.workers;
-  t.workers <- [||]
+let create ~domains = if domains < 1 then invalid_arg "Pool.create: domains must be >= 1"
+let stats () = { submitted = 0; steals = 0; parks = 0 }
+let shutdown () = ()

@@ -1,104 +1,16 @@
-(** A fixed-size Domain pool with work-stealing dispatch: [domains]
-    worker domains spawned once at {!create}. External tasks enter a
-    strict-FIFO injector; worker-forked tasks (nested {!map}) go onto
-    the forking worker's own bounded Chase–Lev-style deque — owner
-    LIFO push/pop at the bottom, thieves steal the oldest entry off
-    the top with a CAS. Idle workers drain their own deque, then the
-    injector front, then steal; finding nothing, they park on a
-    wake-on-submit parking lot (a generation counter re-checked under
-    the lot mutex makes lost wakeups impossible).
-
-    Non-starvation (what replaced the old "dispatch is FIFO"
-    guarantee the shard router's streaming merge relied on): injector
-    tasks are still {e claimed} in submission order — a worker only
-    takes injector work when its own deque is empty, deques only hold
-    finite descendants of already-running tasks, and thieves steal
-    oldest-first — so the earliest undrained shard's task is always
-    completed, running, or the next external claim. See the
-    non-starvation argument in pool.ml and DESIGN.md §16. *)
+(** What is left of the Domain pool. Every query runs on the calling
+    domain, so nothing here spawns a domain or runs a task. These names
+    stay only because [bench/e2e] still calls them; each reports what
+    is now true. *)
 
 type t
 
-(** The work-stealing deque used per worker. Exposed for property
-    tests (owner/thief protocol must never lose or duplicate a task);
-    not part of the stable API. [push]/[pop] are owner-only;
-    [steal] is safe from any domain. *)
-module Deque : sig
-  type 'a t
+(** Scheduler counters; always zero. *)
+type stats = { submitted : int; steals : int; parks : int }
 
-  (** [create ~capacity] rounds [capacity] up to a power of two.
-      @raise Invalid_argument when [capacity < 1]. *)
-  val create : capacity:int -> 'a t
-
-  val capacity : 'a t -> int
-
-  (** Snapshot size (racy under concurrency, >= 0). *)
-  val length : 'a t -> int
-
-  (** Owner only. [false] when full. *)
-  val push : 'a t -> 'a -> bool
-
-  (** Owner only: newest entry (LIFO). *)
-  val pop : 'a t -> 'a option
-
-  (** Any domain: oldest entry (FIFO). *)
-  val steal : 'a t -> 'a option
-end
-
-(** Scheduler counters since creation (or the last reset). *)
-type stats = {
-  submitted : int;  (** tasks enqueued: injector + forked + inline *)
-  local_hits : int;  (** own-deque pops *)
-  injector_hits : int;  (** global FIFO takes *)
-  steals : int;  (** successful steals from another worker *)
-  parks : int;  (** times a worker slept on the parking lot *)
-  task_exns : int;  (** fire-and-forget tasks that raised *)
-}
-
-(** Spawn [domains] worker domains (>= 1).
+(** Spawns no domain.
     @raise Invalid_argument when [domains < 1]. *)
 val create : domains:int -> t
 
-(** Worker count (0 after {!shutdown}). *)
-val size : t -> int
-
-(** The calling worker's index within its pool, [None] outside any
-    pool worker — span trees use it for domain attribution. *)
-val worker_index : unit -> int option
-
-(** Enqueue a fire-and-forget task. Tasks must handle their own
-    exceptions — anything escaping is counted ([task_exns], flight
-    event [Task_exn]) but not re-raised. Called from inside a pool
-    worker, the task runs inline immediately (a nested submit must
-    never wait on scheduling only the calling worker could provide).
-    @raise Invalid_argument after {!shutdown}. *)
-val submit : t -> (unit -> unit) -> unit
-
-(** [map t f arr] applies [f] to every element on the pool, blocking
-    until all complete; results keep their index. If any task raised,
-    the lowest-index exception re-raises after every task has settled.
-    From an external caller, tasks are batched into the FIFO injector.
-    From inside one of [t]'s own workers (nested fan-out), tasks fork
-    onto the calling worker's deque: the worker drains them LIFO while
-    idle workers steal the oldest forks — morsel batches inside a
-    shard task actually parallelize instead of running inline. From a
-    {e different} pool's worker, runs inline sequentially (cross-pool
-    blocking is how nested fan-out deadlocks). *)
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [run_all t thunks]: {!map} over thunks, results discarded. *)
-val run_all : t -> (unit -> unit) list -> unit
-
-(** Scheduler counters snapshot. *)
 val stats : t -> stats
-
-(** Zero all scheduler counters. *)
-val reset_stats : t -> unit
-
-(** Export the scheduler counters ([pool.sched.*], [pool.task_exn])
-    as a registry source named ["pool"]. *)
-val register_telemetry : t -> Minirel_telemetry.Registry.t -> unit
-
-(** Graceful teardown: already-queued tasks finish, workers exit and
-    are joined. Idempotent; {!submit}/{!map} afterwards raise. *)
 val shutdown : t -> unit

@@ -117,8 +117,9 @@ type slot = {
    records its spans as an ["answer:<template>"] child of the caller's
    innermost span instead of starting (and sampling) its own trace —
    how the router stitches one span tree across shards.
-   @raise Failure if the lock cannot be granted. *)
-let answer ?locks ?(txn = 0) ?plan_cache ?par ?profile ?(probe_path = Locked) ?trace
+   @raise Minirel_txn.Lock_manager.Conflict if the lock cannot be
+   granted. *)
+let answer ?locks ?(txn = 0) ?plan_cache ?profile ?(probe_path = Locked) ?trace
     ~view catalog instance ~on_tuple =
   let compiled = Instance.compiled instance in
   let store = View.store view in
@@ -426,7 +427,7 @@ let answer ?locks ?(txn = 0) ?plan_cache ?par ?profile ?(probe_path = Locked) ?t
     | Some pc -> Minirel_exec.Plan_cache.plan pc instance
     | None -> Minirel_exec.Planner.plan_query catalog instance
   in
-  let cursor = Minirel_exec.Executor.cursor ?par ?profile catalog plan in
+  let cursor = Minirel_exec.Executor.cursor ?profile catalog plan in
   let total_count = ref 0 and filled = ref 0 in
   let first_exec = ref None in
   (match tr with Some t -> Span.enter t "o3.execute" | None -> ());
@@ -560,7 +561,7 @@ let answer ?locks ?(txn = 0) ?plan_cache ?par ?profile ?(probe_path = Locked) ?t
   stats
 
 (* Plain execution without a PMV: the baseline for Figures 8-10. *)
-let answer_plain ?plan_cache ?par ?profile ?trace catalog instance ~on_tuple =
+let answer_plain ?plan_cache ?profile ?trace catalog instance ~on_tuple =
   let tname = (Instance.compiled instance).Template.spec.Template.name in
   (match trace with
   | Some t ->
@@ -578,7 +579,7 @@ let answer_plain ?plan_cache ?par ?profile ?trace catalog instance ~on_tuple =
     | Some pc -> Minirel_exec.Plan_cache.plan pc instance
     | None -> Minirel_exec.Planner.plan_query catalog instance
   in
-  let cursor = Minirel_exec.Executor.cursor ?par ?profile catalog plan in
+  let cursor = Minirel_exec.Executor.cursor ?profile catalog plan in
   let total_count = ref 0 in
   let first_exec = ref None in
   Minirel_exec.Cursor.iter

@@ -51,19 +51,17 @@ val now : unit -> int64
     propagates after the view's statistics are finalised. With
     [plan_cache], O3's plan comes from the template plan cache (bound
     skeleton) instead of a fresh planning pass; with [profile],
-    per-operator executor counters are collected into it; with [par],
-    O3's heap scans and hash joins run morsel-parallel on the Domain
-    pool (see {!Minirel_exec.Executor.cursor}); with
+    per-operator executor counters are collected into it; with
     [probe_path:Epoch], no lock is taken (see {!probe_path}); with
     [trace], spans are recorded as an ["answer:<template>"] child of
     the caller-owned trace context instead of starting a sampled trace
     of their own — how one span tree is stitched across shard engines.
-    @raise Failure when the lock cannot be granted. *)
+    @raise Minirel_txn.Lock_manager.Conflict when the lock cannot be
+    granted. *)
 val answer :
   ?locks:Minirel_txn.Lock_manager.t ->
   ?txn:int ->
   ?plan_cache:Minirel_exec.Plan_cache.t ->
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Minirel_exec.Exec_stats.t ->
   ?probe_path:probe_path ->
   ?trace:Minirel_telemetry.Span.trace ->
@@ -77,7 +75,6 @@ val answer :
     tuples arrive with phase [Remaining]. *)
 val answer_plain :
   ?plan_cache:Minirel_exec.Plan_cache.t ->
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Minirel_exec.Exec_stats.t ->
   ?trace:Minirel_telemetry.Span.trace ->
   Minirel_index.Catalog.t ->

@@ -265,13 +265,13 @@ let rebalance t =
 (* Answer through the template's view when one exists, plainly
    otherwise. Returns the stats and whether a view was used. Plans come
    from the manager's template plan cache. *)
-let answer ?locks ?txn ?par ?profile ?probe_path ?trace t instance ~on_tuple =
+let answer ?locks ?txn ?profile ?probe_path ?trace t instance ~on_tuple =
   let name = (Instance.compiled instance).Template.spec.Template.name in
   match find t ~template:name with
   | Some view ->
       let r =
-        Answer.answer ?locks ?txn ~plan_cache:t.plan_cache ?par ?profile ?probe_path
-          ?trace ~view t.catalog instance ~on_tuple
+        Answer.answer ?locks ?txn ~plan_cache:t.plan_cache ?profile ?probe_path ?trace
+          ~view t.catalog instance ~on_tuple
       in
       (match t.rebalance_every with
       | Some every ->
@@ -283,8 +283,8 @@ let answer ?locks ?txn ?par ?profile ?probe_path ?trace t instance ~on_tuple =
       | None -> ());
       (r, true)
   | None ->
-      ( Answer.answer_plain ~plan_cache:t.plan_cache ?par ?profile ?trace t.catalog
-          instance ~on_tuple,
+      ( Answer.answer_plain ~plan_cache:t.plan_cache ?profile ?trace t.catalog instance
+          ~on_tuple,
         false )
 
 (* Total approximate bytes across all views. *)

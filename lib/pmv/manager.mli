@@ -81,14 +81,12 @@ val drop_view : t -> template:string -> unit
 (** Answer through the template's view when one exists, plainly
     otherwise; the boolean reports whether a view was used. Plans come
     from the manager's plan cache; [profile] collects per-operator
-    executor counters; [par] runs O3 scans and hash joins
-    morsel-parallel on the Domain pool; [probe_path] selects the
+    executor counters; [probe_path] selects the
     {!Answer.probe_path} (default [Locked]); [trace] propagates a
     caller-owned trace context (see {!Answer.answer}). *)
 val answer :
   ?locks:Minirel_txn.Lock_manager.t ->
   ?txn:int ->
-  ?par:Minirel_parallel.Pool.t ->
   ?profile:Minirel_exec.Exec_stats.t ->
   ?probe_path:Answer.probe_path ->
   ?trace:Minirel_telemetry.Span.trace ->

@@ -41,13 +41,6 @@ let int_range t ~lo ~hi =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-(* An independent child stream, SplitMix-style: the parent advances one
-   step and the (already avalanche-mixed) output seeds the child, so
-   repeated splits yield decorrelated streams and the whole tree of
-   streams is a pure function of the root seed — per-domain determinism
-   for parallel workloads. *)
-let split t = of_int64 (next_int64 t)
-
 (* [n] distinct ints sampled by [draw]; gives up (returns fewer) only if
    the domain is too small after many retries. *)
 let distinct t ~n draw =

@@ -23,12 +23,6 @@ val int_range : t -> lo:int -> hi:int -> int
 
 val bool : t -> bool
 
-(** An independent child stream seeded from the parent's next (mixed)
-    output; the parent advances one step. Deterministic: the tree of
-    split streams is a pure function of the root seed, giving each
-    domain of a parallel run its own reproducible stream. *)
-val split : t -> t
-
 (** [distinct t ~n draw]: up to [n] distinct samples of [draw]; fewer
     only when the effective domain is too small after many retries. *)
 val distinct : t -> n:int -> (t -> 'a) -> 'a list

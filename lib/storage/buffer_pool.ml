@@ -40,8 +40,8 @@ type t = {
   clock : Cache_stats.t;
   fault : Minirel_fault.Fault.reg;
   mutable next_file_id : int;
-  (* Serialises frame/table/stats mutation: morsel scans on the Domain
-     pool hit one shared pool. Per-page, not per-tuple — a page access
+  (* Serialises frame/table/stats mutation: concurrent clients of one
+     engine hit one shared pool. Per-page, not per-tuple — a page access
      amortises over every tuple on the page. *)
   lock : Mutex.t;
 }

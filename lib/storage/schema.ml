@@ -18,6 +18,8 @@ type t = { name : string; attrs : attr array }
 
 let create name attrs =
   if name = "" then invalid_arg "Schema.create: empty relation name";
+  (* a page stores no empty tuple: the empty array marks a free slot *)
+  if attrs = [] then invalid_arg "Schema.create: no attributes";
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (a_name, _) ->

@@ -12,7 +12,8 @@ type attr = { a_name : string; a_ty : ty }
 type t = { name : string; attrs : attr array }
 
 (** [create name attrs] builds a schema.
-    @raise Invalid_argument on an empty relation name or duplicate
+    @raise Invalid_argument on an empty relation name, an empty
+    attribute list (a page stores no empty tuple) or duplicate
     attribute names. *)
 val create : string -> (string * ty) list -> t
 

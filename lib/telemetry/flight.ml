@@ -30,8 +30,6 @@ type kind =
   | Budget_rebalance
   | Slo_breach
   | Dump_trigger
-  | Sched_steal
-  | Task_exn
 
 let kind_to_string = function
   | Probe_hit -> "probe.hit"
@@ -48,8 +46,6 @@ let kind_to_string = function
   | Budget_rebalance -> "budget.rebalance"
   | Slo_breach -> "slo.breach"
   | Dump_trigger -> "dump.trigger"
-  | Sched_steal -> "sched.steal"
-  | Task_exn -> "task.exn"
 
 let kind_code = function
   | Probe_hit -> 0
@@ -66,8 +62,6 @@ let kind_code = function
   | Budget_rebalance -> 11
   | Slo_breach -> 12
   | Dump_trigger -> 13
-  | Sched_steal -> 14
-  | Task_exn -> 15
 
 let n_rings = 8
 
@@ -135,7 +129,7 @@ let kinds_by_code =
   [|
     Probe_hit; Probe_miss; Version_publish; Version_distrust; Epoch_advance;
     Epoch_reclaim; Stale_purge; Lock_wait; Fault_hit; Maint_defer; Maint_apply;
-    Budget_rebalance; Slo_breach; Dump_trigger; Sched_steal; Task_exn;
+    Budget_rebalance; Slo_breach; Dump_trigger;
   |]
 
 let record ?(a = 0) ?(b = 0) ?ts kind =

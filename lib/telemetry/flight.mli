@@ -20,8 +20,6 @@ type kind =
   | Budget_rebalance  (** arbiter resized a view: [a]=template id, [b]=new L *)
   | Slo_breach
   | Dump_trigger
-  | Sched_steal  (** a pool worker stole a task: [a]=thief ix, [b]=victim ix *)
-  | Task_exn  (** a fire-and-forget pool task raised: [a]=worker ix *)
 
 val kind_to_string : kind -> string
 

@@ -49,11 +49,6 @@ let leaf tr name ns =
   in
   (innermost tr).rev_children <- span :: (innermost tr).rev_children
 
-(* Graft a finished subtree built on another domain under the innermost
-   open span. Timestamps are absolute monotonic ns from the same clock,
-   so the merged tree stays time-coherent without rebasing. *)
-let attach tr child = (innermost tr).rev_children <- child :: (innermost tr).rev_children
-
 let finish ?at tr =
   let stop = match at with Some t -> t | None -> now () in
   List.iter (fun span -> span.stop_ns <- stop) tr.open_spans;

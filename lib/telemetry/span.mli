@@ -34,10 +34,6 @@ val kv : trace -> string -> string -> unit
     per-tuple bookkeeping. *)
 val leaf : trace -> string -> int64 -> unit
 
-(** Graft a finished subtree (built on another domain, absolute
-    monotonic timestamps) under the innermost open span. *)
-val attach : trace -> t -> unit
-
 (** Close every open span, the root last. Idempotent. [at] as in
     {!start}. *)
 val finish : ?at:int64 -> trace -> unit

@@ -18,6 +18,13 @@ let pp_conflict ppf c =
     Fmt.(list ~sep:comma int)
     c.holders (mode_to_string c.requested)
 
+exception Conflict of conflict
+
+let () =
+  Printexc.register_printer (function
+    | Conflict c -> Some (Fmt.str "lock conflict: %a" pp_conflict c)
+    | _ -> None)
+
 type stats = {
   mutable acquires : int;  (* granted requests *)
   mutable conflicts : int;  (* requests answered [Error] *)
@@ -151,9 +158,6 @@ let release_all t ~txn =
 let held_by t ~obj =
   Option.map (fun h -> (h.mode, h.owners)) (Hashtbl.find_opt t.table obj)
 
-(* @raise Failure when the lock cannot be granted; convenience for
-   single-threaded flows where conflict means a protocol bug. *)
+(* @raise Conflict when the lock cannot be granted. *)
 let acquire_exn t ~txn ~obj mode =
-  match acquire t ~txn ~obj mode with
-  | Ok () -> ()
-  | Error c -> failwith (Fmt.str "lock conflict: %a" pp_conflict c)
+  match acquire t ~txn ~obj mode with Ok () -> () | Error c -> raise (Conflict c)

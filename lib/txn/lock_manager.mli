@@ -12,6 +12,10 @@ type conflict = { obj : string; holders : int list; held : mode; requested : mod
 
 val pp_conflict : conflict Fmt.t
 
+(** A refused request, raised by {!acquire_exn}. Its registered
+    printer renders ["lock conflict: "] followed by {!pp_conflict}. *)
+exception Conflict of conflict
+
 type t
 
 (** [fault] scopes the injected-conflict failpoint (default: the
@@ -28,8 +32,8 @@ val release_all : t -> txn:int -> unit
 (** Current holders of the object, if any. *)
 val held_by : t -> obj:string -> (mode * int list) option
 
-(** @raise Failure on conflict; for single-threaded flows where a
-    conflict means a protocol bug. *)
+(** {!acquire}, raising instead of returning the refusal.
+    @raise Conflict when the lock cannot be granted. *)
 val acquire_exn : t -> txn:int -> obj:string -> mode -> unit
 
 type stats = {

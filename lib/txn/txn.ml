@@ -137,7 +137,7 @@ let apply_change t change =
 
 (* Run a transaction. X-locks every touched relation for its duration,
    applies the changes in order, then notifies hooks once per change.
-   Returns the deltas. @raise Failure on lock conflict. *)
+   Returns the deltas. @raise Lock_manager.Conflict on lock conflict. *)
 let run t changes =
   let txn = fresh_txn t in
   let rels =

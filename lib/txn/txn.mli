@@ -45,5 +45,5 @@ val unregister_hook : t -> name:string -> unit
 
 (** Run a transaction: X-lock every touched relation, apply the changes
     in order, notify hooks after each, release locks. Returns the
-    deltas. @raise Failure on a lock conflict. *)
+    deltas. @raise Lock_manager.Conflict on a lock conflict. *)
 val run : t -> change list -> delta list

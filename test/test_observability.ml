@@ -1,4 +1,4 @@
-(* End-to-end observability: the stitched cross-shard span tree, the
+(* End-to-end observability: the cross-shard span tree, the
    hires histogram error/merge contracts behind the SLO watchdog, the
    flight recorder's ordering and digest guarantees, breach capture
    with automatic snapshots, and reproducible stratified sampling. *)
@@ -7,7 +7,6 @@ open Minirel_storage
 open Minirel_telemetry
 module Engine = Minirel_engine.Engine
 module Router = Minirel_engine.Shard_router
-module Pool = Minirel_parallel.Pool
 module Check = Minirel_check.Check
 module Template = Minirel_query.Template
 
@@ -37,36 +36,26 @@ let collect router ?trace q =
   ignore (Router.answer ?trace router q ~on_tuple:(fun _ t -> out := t :: !out));
   List.sort Tuple.compare !out
 
-(* --- tentpole acceptance: one stitched span tree per query ---------- *)
+(* --- one span tree per query, one subtree per shard ------------------ *)
 
-let test_stitched_tree_4x4 () =
+let test_stitched_tree_4_shards () =
   let reference, router, compiled = make_router ~shards:4 in
   let tname = compiled.Template.spec.Template.name in
-  let pool = Pool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Router.set_parallel router None;
-      Pool.shutdown pool;
-      Router.shutdown router)
-  @@ fun () ->
-  Router.set_parallel router (Some pool);
+  Fun.protect ~finally:(fun () -> Router.shutdown router) @@ fun () ->
   (* f/g constraints leave the partition key unconstrained: all four
-     shards are targeted, each on a pool domain *)
+     shards are targeted *)
   let q = inst compiled ~fs:[ 0; 1; 2; 3 ] ~gs:[ 0; 1; 2; 3 ] in
   let trace = Span.start ("select:" ^ tname) in
-  let parallel_traced = collect router ~trace q in
+  let traced = collect router ~trace q in
   Span.finish trace;
-  (* tuple-identical to the untraced sequential run and to ground truth *)
-  Router.set_parallel router None;
-  let sequential = collect router q in
+  (* tuple-identical to the untraced run and to ground truth *)
+  let untraced = collect router q in
   let truth = List.sort Tuple.compare (Check.ground_truth reference q) in
   check Alcotest.bool "result not empty" true (truth <> []);
-  check Alcotest.bool "traced parallel == sequential" true
-    (List.equal Tuple.equal parallel_traced sequential);
-  check Alcotest.bool "traced parallel == ground truth" true
-    (List.equal Tuple.equal parallel_traced truth);
-  (* one tree: the root carries the probe path, and exactly one grafted
-     child per shard, in shard order *)
+  check Alcotest.bool "traced == untraced" true (List.equal Tuple.equal traced untraced);
+  check Alcotest.bool "traced == ground truth" true (List.equal Tuple.equal traced truth);
+  (* one tree: the root carries the probe path, and exactly one child
+     per shard, in shard order *)
   let root = Span.root trace in
   check Alcotest.string "root name" ("select:" ^ tname) root.Span.name;
   check (Alcotest.option Alcotest.string) "root records probe path" (Some "locked")
@@ -81,15 +70,11 @@ let test_stitched_tree_4x4 () =
     (List.map (fun (s : Span.t) -> s.Span.name) shard_spans);
   List.iteri
     (fun i (s : Span.t) ->
-      (* leaf attribution: shard id, executing domain, and the probe
-         path the engine actually took *)
+      (* leaf attribution: shard id and the probe path the engine
+         actually took *)
       check (Alcotest.option Alcotest.string)
         (Fmt.str "shard%d labels itself" i)
         (Some (string_of_int i)) (Span.find_kv s "shard");
-      check Alcotest.bool
-        (Fmt.str "shard%d records its domain" i)
-        true
-        (Span.find_kv s "domain" <> None);
       match Span.find s ("answer:" ^ tname) with
       | None -> Alcotest.failf "shard%d subtree lost the answer span" i
       | Some a ->
@@ -362,8 +347,8 @@ let test_sampling_seeded_reproducible () =
 
 let suite =
   [
-    Alcotest.test_case "stitched span tree across 4 shards x 4 domains" `Quick
-      test_stitched_tree_4x4;
+    Alcotest.test_case "stitched span tree across 4 shards in shard order" `Quick
+      test_stitched_tree_4_shards;
     Alcotest.test_case "router cache hit and fallback trace branches" `Quick
       test_router_cache_trace_branches;
     QCheck_alcotest.to_alcotest prop_hires_quantile_bound;

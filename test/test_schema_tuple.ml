@@ -15,7 +15,9 @@ let test_schema_create () =
     (Invalid_argument "Schema.create: duplicate attribute a") (fun () ->
       ignore (Schema.create "bad" [ ("a", Schema.Tint); ("a", Schema.Tstr) ]));
   Alcotest.check_raises "empty name" (Invalid_argument "Schema.create: empty relation name")
-    (fun () -> ignore (Schema.create "" []))
+    (fun () -> ignore (Schema.create "" []));
+  Alcotest.check_raises "no attributes" (Invalid_argument "Schema.create: no attributes")
+    (fun () -> ignore (Schema.create "e" []))
 
 let test_conforms () =
   check Alcotest.bool "good tuple" true

@@ -639,19 +639,19 @@ let test_binder_rejections () =
 (* --- seeded regression corpus ------------------------------------------ *)
 
 (* Pinned torture campaigns covering all four shapes on both probe
-   paths, single-engine and 4x4 sharded. Any future mismatch lands a
-   new (seed, cfg) row here. *)
+   paths, single-engine and 4-shard. Any future mismatch lands a new
+   (seed, cfg) row here. *)
 let corpus =
   [
-    (42, 1, 1, Answer.Locked);
-    (7, 1, 1, Answer.Epoch);
-    (99, 4, 1, Answer.Locked);
-    (1234, 4, 4, Answer.Epoch);
+    (42, 1, Answer.Locked);
+    (7, 1, Answer.Epoch);
+    (99, 4, Answer.Locked);
+    (1234, 4, Answer.Epoch);
   ]
 
 let test_seed_corpus () =
   List.iter
-    (fun (seed, shards, domains, probe_path) ->
+    (fun (seed, shards, probe_path) ->
       let cfg =
         {
           (Torture.default_cfg ~seed) with
@@ -659,31 +659,28 @@ let test_seed_corpus () =
           scale = 0.001;
           check_every = 40;
           shards;
-          domains;
           probe_path;
         }
       in
       let o = if shards > 1 then Torture.run_sharded cfg else Torture.run cfg in
       if not (Torture.ok o) then
-        Alcotest.failf "seed %d shards=%d domains=%d: %a" seed shards domains
-          Torture.pp_outcome o)
+        Alcotest.failf "seed %d shards=%d: %a" seed shards Torture.pp_outcome o)
     corpus
 
-(* Digest reproducibility of the sharded campaign at 4 shards x 4
-   domains with the shape classes in the mix. *)
-let test_sharded_digest_4x4 () =
+(* Digest reproducibility of the sharded campaign at 4 shards with the
+   shape classes in the mix. *)
+let test_sharded_digest () =
   let cfg =
     {
       (Torture.default_cfg ~seed:4242) with
       Torture.events = 100;
       scale = 0.001;
       shards = 4;
-      domains = 4;
     }
   in
   let a = Torture.run_sharded cfg in
   let b = Torture.run_sharded cfg in
-  check Alcotest.string "digest reproduces at 4x4" a.Torture.digest b.Torture.digest;
+  check Alcotest.string "digest reproduces at 4 shards" a.Torture.digest b.Torture.digest;
   check Alcotest.bool "clean" true (Torture.ok a && Torture.ok b)
 
 let suite =
@@ -725,5 +722,5 @@ let suite =
     Alcotest.test_case "shape telemetry counters" `Quick test_shape_counters;
     Alcotest.test_case "binder rejections" `Quick test_binder_rejections;
     Alcotest.test_case "seeded regression corpus" `Quick test_seed_corpus;
-    Alcotest.test_case "sharded digest reproducible 4x4" `Quick test_sharded_digest_4x4;
+    Alcotest.test_case "sharded digest reproducible" `Quick test_sharded_digest;
   ]

@@ -173,8 +173,8 @@ let test_prometheus_labels_and_merge () =
   check Alcotest.bool "merged view has counters" true (merged_counters <> []);
   (* router-level sources ride along in the merged view but are not
      per-shard sums — the sum invariant covers the shard series only *)
-  check Alcotest.bool "merged view has router affinity counters" true
-    (List.mem_assoc "router.affinity.aff_hits" merged_counters);
+  check Alcotest.bool "merged view has router probe counters" true
+    (List.mem_assoc "router.probe.fast_hits" merged_counters);
   List.iter
     (fun (name, total) ->
       if not (String.length name >= 7 && String.sub name 0 7 = "router.") then

@@ -1,6 +1,7 @@
 (* The telemetry subsystem: log-bucketed histograms, the metrics
    registry (get-or-create, source registration, reset semantics), span
-   trees, and the shell's METRICS statement over a real T1/T2 mix. *)
+   trees, the shell's METRICS statement over a real T1/T2 mix, and exact
+   counts when several domains record at once. *)
 
 open Minirel_telemetry
 module Shell = Minirel_shell.Shell
@@ -314,6 +315,26 @@ let test_disabled_mode () =
   check Alcotest.bool "no trace recorded while disabled" true
     (Telemetry.last_trace () = None)
 
+(* --- domain safety: concurrent clients share counters and histograms --- *)
+
+let test_contention () =
+  let reg = Registry.create () in
+  let c = Registry.counter reg "hammered" in
+  let h = Registry.histogram reg "latency" in
+  let per_domain = 20_000 in
+  List.init 4 (fun k ->
+      Domain.spawn (fun () ->
+          for i = 1 to per_domain do
+            Registry.incr c;
+            if i mod 100 = 0 then Registry.add c 2;
+            Histogram.record h (Int64.of_int ((k * per_domain) + i));
+            if i mod 1_000 = 0 then ignore (Histogram.quantile h 0.5)
+          done))
+  |> List.iter Domain.join;
+  check Alcotest.int "counter exact" (4 * (per_domain + (per_domain / 100 * 2)))
+    (Registry.counter_value c);
+  check Alcotest.int "histogram count exact" (4 * per_domain) (Histogram.count h)
+
 let suite =
   [
     Alcotest.test_case "histogram bucket boundaries" `Quick test_bucket_boundaries;
@@ -328,4 +349,5 @@ let suite =
     Alcotest.test_case "shell METRICS + METRICS RESET" `Quick test_shell_metrics;
     Alcotest.test_case "TRACE prints the span tree" `Quick test_trace_spans;
     Alcotest.test_case "disabled mode records nothing" `Quick test_disabled_mode;
+    Alcotest.test_case "telemetry exact under contention" `Quick test_contention;
   ]

@@ -199,7 +199,10 @@ let test_txn_partial_lock_failure_releases () =
        ]
    with
   | _ -> Alcotest.fail "expected a lock conflict"
-  | exception Failure _ -> ());
+  | exception (Lock.Conflict c as exn) ->
+      check Alcotest.string "refused object" "rel:s" c.Lock.obj;
+      check Alcotest.string "printed as before" "lock conflict: rel:s held in X by [77], requested X"
+        (Printexc.to_string exn));
   check Alcotest.bool "r lock not leaked" true (Lock.held_by lm ~obj:"rel:r" = None);
   (* nothing was applied *)
   let r900 =

@@ -156,7 +156,8 @@ let test_locking_protocol () =
   ignore (Lock.acquire locks ~txn:99 ~obj:(View.lock_object view) Lock.X);
   (match Answer.answer ~locks ~txn:7 ~view catalog inst ~on_tuple:(fun _ _ -> ()) with
   | _ -> Alcotest.fail "expected lock conflict"
-  | exception Failure _ -> ())
+  | exception Lock.Conflict c ->
+      check Alcotest.(list int) "refused by the X holder" [ 99 ] c.Lock.holders)
 
 let run_mixed_txns mgr rng n =
   let module SM = Minirel_prng.Split_mix in

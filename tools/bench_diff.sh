@@ -2,7 +2,7 @@
 # Diff fresh bench JSON against the committed (HEAD) baselines so a
 # probe-bound serving regression cannot land silently.
 #
-# Usage: tools/bench_diff.sh [fresh_shard.json [fresh_parallel.json [fresh_observability.json [fresh_shapes.json [fresh_adaptive.json]]]]]
+# Usage: tools/bench_diff.sh [fresh_shard.json [fresh_observability.json [fresh_shapes.json [fresh_adaptive.json]]]]
 #   MAX_BENCH_REGRESSION_PCT=N   allowed regression (default 20)
 #
 # The default margin is set above the measured run-to-run noise floor
@@ -15,11 +15,7 @@
 #   - the gated shard ratios (router4_vs_engine, router1_vs_engine)
 #     divide two same-host measurements, so they compare on any host;
 #   - absolute probe-bound q/s per configuration only compares when the
-#     fresh host reports the same host_cores as the committed run;
-#   - parallel speedups only compare when both runs mark
-#     speedup_applicable (a 1-core host cannot reproduce them);
-#   - the parallel 1-domain overhead ratios (scheduler cost) compare on
-#     matching core counts even where the speedups do not.
+#     fresh host reports the same host_cores as the committed run.
 # Exits 0 with a note when there is no git HEAD or no committed
 # baseline to diff against.
 set -eu
@@ -27,10 +23,9 @@ cd "$(dirname "$0")/.."
 
 max="${MAX_BENCH_REGRESSION_PCT:-20}"
 fresh_shard="${1:-BENCH_shard.json}"
-fresh_parallel="${2:-BENCH_parallel.json}"
-fresh_observability="${3:-BENCH_observability.json}"
-fresh_shapes="${4:-BENCH_shapes.json}"
-fresh_adaptive="${5:-BENCH_adaptive.json}"
+fresh_observability="${2:-BENCH_observability.json}"
+fresh_shapes="${3:-BENCH_shapes.json}"
+fresh_adaptive="${4:-BENCH_adaptive.json}"
 status=0
 
 if ! git rev-parse --quiet --verify HEAD >/dev/null 2>&1; then
@@ -118,59 +113,6 @@ if git cat-file -e HEAD:BENCH_shard.json 2>/dev/null && [ -f "$fresh_shard" ]; t
   fi
 else
   echo "bench_diff: no committed BENCH_shard.json baseline - skipped"
-fi
-
-# ---- parallel: Domain-pool speedups ----------------------------------
-if git cat-file -e HEAD:BENCH_parallel.json 2>/dev/null && [ -f "$fresh_parallel" ]; then
-  base="$tmpdir/parallel_base.json"
-  git show HEAD:BENCH_parallel.json >"$base"
-  old_app=$(jget "$base" speedup_applicable)
-  new_app=$(jget "$fresh_parallel" speedup_applicable)
-  old_cores=$(jget "$base" host_cores)
-  new_cores=$(jget "$fresh_parallel" host_cores)
-  if [ "$old_app" = "true" ] && [ "$new_app" = "true" ] && [ "$old_cores" = "$new_cores" ]; then
-    old=$(jget "$base" speedup_max_domains)
-    new=$(jget "$fresh_parallel" speedup_max_domains)
-    if [ -n "$old" ] && [ -n "$new" ]; then
-      if within "$old" "$new"; then
-        echo "bench_diff: fan-out speedup ${old} -> ${new} (ok)"
-      else
-        echo "bench_diff FAIL: fan-out speedup regressed ${old} -> ${new} (> ${max}%)" >&2
-        status=1
-      fi
-    fi
-  else
-    echo "bench_diff: parallel speedups not applicable/comparable on this host - skipped"
-  fi
-
-  # the pooled runs must carry the work-stealing scheduler's counter
-  # snapshot (submitted/local_hits/injector_hits/steals/parks/task_exns)
-  if ! grep -q '"sched":' "$fresh_parallel"; then
-    echo "bench_diff FAIL: fresh BENCH_parallel.json carries no scheduler counter snapshot" >&2
-    status=1
-  fi
-
-  # 1-domain overhead divides two same-host measurements of the same
-  # sweep, so it compares whenever the core counts match even where the
-  # speedups do not apply (fan-out is the first occurrence of the key,
-  # morsel the second); a drop past the margin means the scheduler got
-  # more expensive per dispatched task
-  if grep -q '"overhead_1_domain"' "$base" && [ -n "$old_cores" ] && [ "$old_cores" = "$new_cores" ]; then
-    for idx in 1 2; do
-      if [ "$idx" = "1" ]; then sweep=fan-out; else sweep=morsel; fi
-      old=$(awk -F': ' -v want="$idx" '/"overhead_1_domain"/ { if (++n == want) { gsub(/[ ,]/, "", $2); print $2; exit } }' "$base")
-      new=$(awk -F': ' -v want="$idx" '/"overhead_1_domain"/ { if (++n == want) { gsub(/[ ,]/, "", $2); print $2; exit } }' "$fresh_parallel")
-      [ -n "$old" ] && [ -n "$new" ] || continue
-      if within "$old" "$new"; then
-        echo "bench_diff: parallel $sweep overhead_1_domain ${old} -> ${new} (ok)"
-      else
-        echo "bench_diff FAIL: parallel $sweep overhead_1_domain regressed ${old} -> ${new} (> ${max}%)" >&2
-        status=1
-      fi
-    done
-  fi
-else
-  echo "bench_diff: no committed BENCH_parallel.json baseline - skipped"
 fi
 
 # ---- observability: tracing + flight recorder overhead ---------------

@@ -1,13 +1,10 @@
 #!/bin/sh
 # Repo health gate: build, tier-1 tests, torture smokes (single-engine
-# on both probe paths, sharded, parallel sharded with digest
-# reproducibility, and the sharded epoch probe path), each with its
-# digest pinned, the simulated I/O of a fixed-op cold_scan run pinned,
-# a flight-recorder smoke, telemetry and observability
-# overhead, shard scaling, probe-bound serving, work-stealing Domain-pool
-# parallelism (core-aware: speedups where the cores exist, scheduler
-# overhead vs the committed baseline on 1-core hosts), budget
-# arbitration, and a bench diff against committed baselines.
+# on both probe paths, sharded, and the sharded epoch probe path), each
+# with its digest pinned, the simulated I/O of a fixed-op cold_scan run
+# pinned, a flight-recorder smoke, telemetry and observability
+# overhead, shard scaling, probe-bound serving, budget arbitration, and
+# a bench diff against committed baselines.
 #
 # Usage: tools/check.sh [--skip-bench]
 #   SKIP_BENCH=1          same as --skip-bench
@@ -81,22 +78,7 @@ echo "$shard_out" | tr ' ' '\n' |
   echo "FAIL: sharded torture smoke injected too few fault classes" >&2
   exit 1
 }
-pin_digest "sharded torture" "$shard_out" c4b4cbe8a4673ff0
-
-echo "== work-stealing torture smoke (4 shards x 4 domains, digest reproducible under stealing)"
-par_out=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 4 --domains 4) || {
-  echo "$par_out"
-  echo "FAIL: parallel sharded torture campaign reported oracle violations" >&2
-  exit 1
-}
-echo "$par_out"
-par_out2=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 4 --domains 4) || {
-  echo "FAIL: parallel sharded torture rerun reported oracle violations" >&2
-  exit 1
-}
-# both runs matching the pin means the digest is reproducible under stealing
-pin_digest "work-stealing torture" "$par_out" 9f3b2a998c0e2c35
-pin_digest "work-stealing torture (rerun)" "$par_out2" 9f3b2a998c0e2c35
+pin_digest "sharded torture" "$shard_out" 3fb2524067c93435
 
 echo "== epoch-path torture cross-check (same seed, lock-free probe reads)"
 # same campaign as the sharded smoke but answering through the epoch
@@ -109,7 +91,7 @@ epoch_out=$(dune exec bin/pmvctl.exe -- torture --seed 42 --events 200 --shards 
   exit 1
 }
 echo "$epoch_out"
-pin_digest "sharded epoch-path torture" "$epoch_out" b0d0002e96c90826
+pin_digest "sharded epoch-path torture" "$epoch_out" 4b82649ab98fb1d5
 
 echo "== query-shape smoke (each Section 3.6 shape oracle-clean at 1 and 4 shards, both probe paths)"
 # the shapes suite runs the per-shape differential properties —
@@ -308,76 +290,6 @@ done
   echo "FAIL: 4-shard grouped-probe qps ${shp_qps4} below 1-shard ${shp_qps1} on every attempt" >&2
   exit 1
 }
-
-echo "== parallel gate (work-stealing scheduler: checksums + oracle always; core-aware speedup/overhead gates)"
-dune exec bench/main.exe -- parallel ${BENCH_ARGS:-}
-
-applicable=$(awk -F': ' '/"speedup_applicable"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_parallel.json)
-checksums=$(awk -F': ' '/"checksums_identical"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_parallel.json)
-par_oracle=$(awk -F': ' '/^ *"oracle_clean"/ { gsub(/[ ,}]/, "", $2); print $2; exit }' BENCH_parallel.json)
-par_cores=$(awk -F': ' '/"host_cores"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_parallel.json)
-# first occurrences are the fan-out sweep; the morsel and shaped blocks
-# repeat the keys in that order
-fan_speedup=$(awk -F': ' '/"speedup_max_domains"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_parallel.json)
-fan_overhead=$(awk -F': ' '/"overhead_1_domain"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_parallel.json)
-morsel_overhead=$(awk -F': ' '/"overhead_1_domain"/ { if (++n == 2) { gsub(/[ ,]/, "", $2); print $2; exit } }' BENCH_parallel.json)
-if [ -z "$applicable" ] || [ -z "$checksums" ] || [ -z "$par_oracle" ] || [ -z "$fan_speedup" ] || [ -z "$fan_overhead" ]; then
-  echo "FAIL: missing fields in BENCH_parallel.json" >&2
-  exit 1
-fi
-[ "$par_oracle" = "true" ] || {
-  echo "FAIL: parallel bench answers violated the oracle" >&2
-  exit 1
-}
-[ "$checksums" = "true" ] || {
-  echo "FAIL: parallel result streams not checksum-identical to sequential" >&2
-  exit 1
-}
-# every pooled run must snapshot the scheduler counters
-grep -q '"sched":' BENCH_parallel.json || {
-  echo "FAIL: no work-stealing scheduler counter snapshot in BENCH_parallel.json" >&2
-  exit 1
-}
-if [ "$applicable" = "true" ]; then
-  echo "fan-out speedup: ${fan_speedup}x, 1-domain overhead ratio: ${fan_overhead}x"
-  awk -v s="$fan_speedup" 'BEGIN { exit !(s >= 1.8) }' || {
-    echo "FAIL: fan-out speedup ${fan_speedup}x < 1.8x at max domains" >&2
-    exit 1
-  }
-  awk -v r="$fan_overhead" 'BEGIN { exit !(r >= 0.95) }' || {
-    echo "FAIL: 1-domain pool regressed to ${fan_overhead}x of no-pool sequential" >&2
-    exit 1
-  }
-else
-  # an idle extra domain still pays stop-the-world GC sync, so on a
-  # host without enough cores the speedups do not measure our
-  # machinery. What a 1-core host CAN measure is scheduler overhead:
-  # the 1-domain-pool-vs-no-pool ratio must stay within 5% of the
-  # committed baseline's (same-core hosts only) so the work-stealing
-  # dispatch cannot silently cost more than the pool it replaced.
-  echo "host lacks the cores for the largest pool: speedup gate replaced by the 1-domain overhead diff"
-  echo "(recorded: fan-out ${fan_speedup}x speedup, 1-domain overhead fan-out ${fan_overhead}x morsel ${morsel_overhead:-?}x)"
-  if git cat-file -e HEAD:BENCH_parallel.json 2>/dev/null; then
-    base_cores=$(git show HEAD:BENCH_parallel.json | awk -F': ' '/"host_cores"/ { gsub(/[ ,]/, "", $2); print $2; exit }')
-    if [ -n "$base_cores" ] && [ "$base_cores" = "$par_cores" ]; then
-      for idx in 1 2; do
-        [ "$idx" = "1" ] && sweep=fan-out || sweep=morsel
-        old=$(git show HEAD:BENCH_parallel.json |
-          awk -F': ' -v want="$idx" '/"overhead_1_domain"/ { if (++n == want) { gsub(/[ ,]/, "", $2); print $2; exit } }')
-        new=$(awk -F': ' -v want="$idx" '/"overhead_1_domain"/ { if (++n == want) { gsub(/[ ,]/, "", $2); print $2; exit } }' BENCH_parallel.json)
-        [ -n "$old" ] && [ -n "$new" ] || continue
-        if awk -v o="$old" -v n="$new" 'BEGIN { exit !(n >= o * 0.95) }'; then
-          echo "1-domain overhead ($sweep): baseline ${old}x -> ${new}x (ok)"
-        else
-          echo "FAIL: 1-domain $sweep overhead regressed ${old}x -> ${new}x (> 5% vs committed baseline)" >&2
-          exit 1
-        fi
-      done
-    else
-      echo "committed baseline is from a ${base_cores:-?}-core host: overhead diff skipped"
-    fi
-  fi
-fi
 
 echo "== budget arbitration gate (arbitrated hit >= static, oracle clean)"
 # correctness (oracle) fails immediately; the hit-ratio threshold gets
